@@ -1,4 +1,4 @@
-"""Hot-path benchmark: incremental indexes vs reference scans.
+"""Hot-path benchmark: incremental indexes vs brute-force oracle scans.
 
 Measures the costs the indexes attack (PERFORMANCE.md) and the parallel
 executor's wall-clock scaling.  Without ``--output`` the run is
@@ -8,11 +8,14 @@ and machine fingerprint) that ``tools/bench_gate.py`` gates against.
 With ``--output PATH`` a single-run ``bench-hotpaths/v1`` payload is
 written instead (what CI feeds the gate as the run under test).
 
+The scan side of every comparison comes from the test oracles in
+``tests/oracles`` (production carries only the indexed paths):
+
 * ``events_per_sec``  -- end-to-end simulator throughput (dispatched
   events per wall second of the measurement window) on a GC-heavy
-  scenario, indexed vs scan (``repro.perf.scan_reference``).  Identical
-  simulations -- the equivalence suite asserts bit-identical results --
-  so the ratio is pure hot-path cost.
+  scenario, indexed vs scan (``tests.oracles.scan_reference``).
+  Identical simulations -- the equivalence suite asserts bit-identical
+  results -- so the ratio is pure hot-path cost.
 * ``victim_selection_us`` -- mean latency of one SIP-filtered victim
   selection over a populated FTL.
 * ``flusher_tick_us``  -- mean latency of one flusher-tick interrogation
@@ -48,10 +51,10 @@ import sys
 import time
 from pathlib import Path
 
-if __package__ in (None, ""):  # script invocation: make `repro` importable
+if __package__ in (None, ""):  # script run: make `repro` and `tests` importable
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro import perf
 from repro.core.buffered_predictor import BufferedWritePredictor
 from repro.experiments.runner import (
     POLICY_FACTORIES,
@@ -72,6 +75,8 @@ from repro.sim.simtime import SECOND
 from repro.ssd.config import SsdConfig
 from repro.workloads.base import Region
 from repro.workloads.synthetic import SyntheticWorkload
+from tests import oracles
+from tests.oracles import scan_reference
 
 #: The GC-heavy seed scenario (see module docstring).  The quick variant
 #: keeps the same shape at CI-smoke scale.
@@ -138,7 +143,7 @@ def bench_events_per_sec(quick: bool) -> dict:
     params = GC_HEAVY["quick" if quick else "full"]
     out = {"scenario": dict(params)}
     out["indexed"] = _drive_gc_heavy(params)
-    with perf.scan_reference():
+    with scan_reference():
         out["scan"] = _drive_gc_heavy(params)
     out["speedup"] = round(
         out["indexed"]["events_per_sec"] / out["scan"]["events_per_sec"], 2
@@ -167,34 +172,31 @@ def _populated_ftl() -> PageMappedFtl:
 def bench_victim_selection(quick: bool) -> dict:
     rounds = 200 if quick else 1000
     out = {}
-    for label in ("indexed", "scan"):
-        if label == "indexed":
-            ftl = _populated_ftl()
-        else:
-            with perf.scan_reference():
-                ftl = _populated_ftl()
-        fast = ftl.victim_index is not None
+    ftl = _populated_ftl()
+    start = time.perf_counter()
+    for _ in range(rounds):
+        ftl.victim_selector.select(
+            None,
+            ftl.page_map,
+            sip_lpns=ftl.sip_lpns,
+            excluded_blocks=ftl.retired_blocks,
+            valid_index=ftl.victim_index,
+            sip_overlap=ftl.sip_index,
+        )
+    out["indexed"] = {"mean_us": round((time.perf_counter() - start) / rounds * 1e6, 2)}
+    # The scan side is exactly what the FTL calls inside scan_reference().
+    with scan_reference():
         start = time.perf_counter()
         for _ in range(rounds):
-            if fast:
-                ftl.victim_selector.select(
-                    None,
-                    ftl.page_map,
-                    sip_lpns=ftl.sip_lpns,
-                    excluded_blocks=ftl.retired_blocks,
-                    valid_index=ftl.victim_index,
-                    sip_overlap=ftl.sip_index,
-                )
-            else:
-                ftl.victim_selector.select(
-                    ftl.gc_candidates(),
-                    ftl.page_map,
-                    block_ages=ftl._ages(),
-                    sip_lpns=ftl.sip_lpns,
-                    excluded_blocks=ftl.retired_blocks,
-                )
+            ftl.victim_selector.select(
+                ftl.gc_candidates(),
+                ftl.page_map,
+                block_ages=ftl._ages(),
+                sip_lpns=ftl.sip_lpns,
+                excluded_blocks=ftl.retired_blocks,
+            )
         elapsed = time.perf_counter() - start
-        out[label] = {"mean_us": round(elapsed / rounds * 1e6, 2)}
+    out["scan"] = {"mean_us": round(elapsed / rounds * 1e6, 2)}
     out["speedup"] = round(out["scan"]["mean_us"] / out["indexed"]["mean_us"], 2)
     return out
 
@@ -203,18 +205,24 @@ def bench_flusher_tick(quick: bool) -> dict:
     pages = 20_000 if quick else 100_000
     rounds = 20 if quick else 50
     period, tau = 5, 30
+    cache = PageCache(4096, 4 * pages * 4096)
+    predictor = BufferedWritePredictor(cache, period, tau)
+    for lpn in range(pages):
+        cache.write_page(lpn, now=lpn % (tau + period))
     out = {}
-    for label in ("indexed", "scan"):
-        indexed = label == "indexed"
-        cache = PageCache(4096, 4 * pages * 4096, indexed=indexed)
-        predictor = BufferedWritePredictor(cache, period, tau, incremental=indexed)
-        for lpn in range(pages):
-            cache.write_page(lpn, now=lpn % (tau + period))
+    for label, expired_dirty, predict in (
+        ("indexed", cache.expired_dirty, predictor.predict),
+        (
+            "scan",
+            lambda now, tau: oracles.expired_dirty(cache, now, tau),
+            lambda now: oracles.dbuf_scan(predictor, now),
+        ),
+    ):
         start = time.perf_counter()
         for i in range(rounds):
             now = tau + i * period
-            cache.expired_dirty(now, tau)
-            predictor.predict(now)
+            expired_dirty(now, tau)
+            predict(now)
         elapsed = time.perf_counter() - start
         out[label] = {"pages": pages, "mean_us": round(elapsed / rounds * 1e6, 2)}
     out["speedup"] = round(out["scan"]["mean_us"] / out["indexed"]["mean_us"], 2)

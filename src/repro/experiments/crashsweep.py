@@ -544,6 +544,7 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
         + [(measure_end, 2, "end")]
     )
     measuring = False
+    phase_start = 0
     phase = 0
     index = 0
     while index < len(stops):
@@ -554,16 +555,16 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
         if kind == "begin":
             collector.begin()
             measuring = True
+            phase_start = host.sim.now
             continue
-        if kind == "end":
-            if measuring:
-                collector.end()
-                phases.append(collector.results())
-            break
-        # kind == "cut"
-        if measuring:
+        # "end" or "cut" closes the open phase.  A phase that opened at
+        # this very instant (a cut at the window start) has zero length
+        # and is not emitted.
+        if measuring and host.sim.now > phase_start:
             collector.end()
             phases.append(collector.results())
+        if kind == "end":
+            break
         cut = emulator.cut_power(host)
         phase += 1
         ftl, report = config.recover_from(
@@ -639,6 +640,7 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
         workload.start()
         if measuring:
             collector.begin()
+            phase_start = host.sim.now
     workload.stop()
 
     merged = merge_phase_metrics(
@@ -658,14 +660,11 @@ def merge_phase_metrics(
 
     Counters sum; WAF is recomputed from the summed page counts; rates
     and means are duration-weighted; capacity fields take the final
-    phase's value.  Latency: when every phase carries its HDR wire
-    histogram the merged distribution is exact -- the merge is fed the
-    full per-phase distributions, so p50..p9999 are recomputed over all
-    phases' samples (bit-identical to one histogram fed the concatenated
-    stream).  Phases without histograms (pre-HDR wire records) fall back
-    to the old conservative bound: max of per-phase p99s, duration-
-    weighted mean.  Tail-attribution tables sum cause-wise; the merged
-    threshold is the worst phase's.
+    phase's value.  Latency is exact: every phase carries its HDR wire
+    histogram (empty when it recorded no ops), so p50..p9999 are
+    recomputed over all phases' samples (bit-identical to one histogram
+    fed the concatenated stream).  Tail-attribution tables sum
+    cause-wise; the merged threshold is the worst phase's.
     """
     if not phases:
         raise ValueError("cannot merge zero phases")
@@ -691,31 +690,7 @@ def merge_phase_metrics(
         timeline.extend(p.op_timeline)
 
     merged_hist = merge_wire_histograms([p.latency_hist for p in phases])
-    if merged_hist is not None:
-        pcts = merged_hist.percentiles(LATENCY_PERCENTILES)
-        latency_fields = dict(
-            mean_latency_ns=merged_hist.mean(),
-            p50_latency_ns=pcts[50.0],
-            p95_latency_ns=pcts[95.0],
-            p99_latency_ns=pcts[99.0],
-            p999_latency_ns=pcts[99.9],
-            p9999_latency_ns=pcts[99.99],
-            max_latency_ns=merged_hist.max(),
-            latency_hist=merged_hist.to_wire(),
-        )
-    else:
-        # Legacy fallback: no full distributions to merge, so keep the
-        # conservative worst-phase tail bound (what pre-HDR merges did).
-        latency_fields = dict(
-            mean_latency_ns=wavg(lambda p: p.mean_latency_ns),
-            p50_latency_ns=max(p.p50_latency_ns for p in phases),
-            p95_latency_ns=max(p.p95_latency_ns for p in phases),
-            p99_latency_ns=max(p.p99_latency_ns for p in phases),
-            p999_latency_ns=max(p.p999_latency_ns for p in phases),
-            p9999_latency_ns=max(p.p9999_latency_ns for p in phases),
-            max_latency_ns=max(p.max_latency_ns for p in phases),
-            latency_hist=None,
-        )
+    pcts = merged_hist.percentiles(LATENCY_PERCENTILES)
 
     tail_causes: dict = {}
     for p in phases:
@@ -756,5 +731,12 @@ def merge_phase_metrics(
         spo_count=spo_count,
         recovery_time_ns=recovery_time_ns,
         trim_count=sum(p.trim_count for p in phases),
-        **latency_fields,
+        mean_latency_ns=merged_hist.mean(),
+        p50_latency_ns=pcts[50.0],
+        p95_latency_ns=pcts[95.0],
+        p99_latency_ns=pcts[99.0],
+        p999_latency_ns=pcts[99.9],
+        p9999_latency_ns=pcts[99.99],
+        max_latency_ns=merged_hist.max(),
+        latency_hist=merged_hist.to_wire(),
     )

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set,
 
 import numpy as np
 
-from repro import perf
 from repro.ftl.checkpoint_policy import CheckpointPolicy, IntervalCheckpointPolicy
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
 from repro.ftl.metastore import KIND_CHECKPOINT, KIND_UNMAP, build_checkpoint, build_tombstones
@@ -251,19 +250,12 @@ class PageMappedFtl:
         self.sip_lpns: Set[int] = set()
 
         #: Hot-path indexes (PERFORMANCE.md): candidate blocks ordered by
-        #: valid count, and per-block SIP-overlap counters.  None when the
-        #: process runs on the reference scan paths (repro.perf).
-        if perf.hotpath_indexing_enabled():
-            self.victim_index: Optional[ValidCountIndex] = ValidCountIndex()
-            self.sip_index: Optional[SipOverlapIndex] = SipOverlapIndex(
-                self.geometry.total_blocks
-            )
-            self.page_map.set_valid_observer(
-                self.victim_index.make_fused_observer(self.sip_index)
-            )
-        else:
-            self.victim_index = None
-            self.sip_index = None
+        #: valid count, and per-block SIP-overlap counters.
+        self.victim_index = ValidCountIndex()
+        self.sip_index = SipOverlapIndex(self.geometry.total_blocks)
+        self.page_map.set_valid_observer(
+            self.victim_index.make_fused_observer(self.sip_index)
+        )
 
         # Cached int for the per-write frontier/address math below.
         self._ppb = self.geometry.pages_per_block
@@ -350,8 +342,7 @@ class PageMappedFtl:
         )
         for block in recovered.closed_blocks:
             self._closed[block] = True
-            if self.victim_index is not None:
-                self.victim_index.track(block, pm.valid_count(block))
+            self.victim_index.track(block, pm.valid_count(block))
         self._active_user_block = (
             recovered.active_user_block
             if recovered.active_user_block is not None
@@ -384,17 +375,6 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
     def _default_clock(self) -> int:
         return self._op_counter
-
-    def _on_valid_delta(self, block: int, lpn: int, delta: int) -> None:
-        """Unfused PageMap observer (kept for tests/subclasses; the
-        constructor installs the fused closure from
-        :meth:`ValidCountIndex.make_fused_observer` instead)."""
-        index = self.victim_index
-        if index is not None:
-            index.adjust_if_tracked(block, delta)
-        sip = self.sip_index
-        if sip is not None:
-            sip.on_valid_delta(block, lpn, delta)
 
     def _allocate_block(self) -> int:
         block = self.allocator.allocate()
@@ -498,8 +478,7 @@ class PageMappedFtl:
             return
         self.retired_blocks.add(block)
         self._closed[block] = False
-        if self.victim_index is not None:
-            self.victim_index.untrack(block)
+        self.victim_index.untrack(block)
         self.stats.blocks_retired += 1
         effective_op = self.effective_op_pages()
         self._op_series.append(self._clock(), effective_op)
@@ -799,19 +778,6 @@ class PageMappedFtl:
         latency += self.nand.timing.transfer_ns_per_page
         return latency
 
-    @property
-    def supports_batched_writes(self) -> bool:
-        """True when :meth:`host_write_extent` is legal.
-
-        Requires the indexed data plane (victim index installed).  Fault
-        injection no longer disables it wholesale: the NAND pre-draws the
-        injector's program stream per chunk and raises
-        :class:`~repro.nand.errors.BatchFaultPending` (stream restored)
-        when a fault lies inside, so only the chunks that actually fault
-        fall back to the per-page loop.
-        """
-        return self.victim_index is not None
-
     def host_write_extent(self, lpn: int, count: int) -> int:
         """Batched :meth:`host_write_page` over a contiguous LPN extent.
 
@@ -827,7 +793,11 @@ class PageMappedFtl:
         ``(count, generation)`` pair is live — so victim selection is
         unchanged.
 
-        Only legal when :attr:`supports_batched_writes` is true.
+        Fault injection does not disable batching: the NAND pre-draws the
+        injector's program stream per chunk and raises
+        :class:`~repro.nand.errors.BatchFaultPending` (stream restored)
+        when a fault lies inside, so only the chunks that actually fault
+        fall back to the per-page helper.
         """
         nand = self.nand
         page_map = self.page_map
@@ -878,29 +848,28 @@ class PageMappedFtl:
             self._op_counter += chunk
             latency += program_ns
             old_ppns = page_map.remap_extent(first, chunk, block * ppb + start)
-            if vindex is not None:
-                # The old PPNs of a contiguous extent were themselves
-                # written as runs, so group consecutive same-block PPNs
-                # and adjust once per run (intermediate heap entries the
-                # per-page observer would push are dead on arrival, so
-                # aggregation is selection-equivalent).
-                adjust = vindex.adjust_if_tracked
-                prev = -1
-                run = 0
-                for ppn in old_ppns:
-                    if ppn == UNMAPPED:
-                        continue
-                    b = ppn // ppb
-                    if b != prev:
-                        if run:
-                            adjust(prev, -run)
-                        prev = b
-                        run = 1
-                    else:
-                        run += 1
-                if run:
-                    adjust(prev, -run)
-            if sip is not None and sip.lpns:
+            # The old PPNs of a contiguous extent were themselves
+            # written as runs, so group consecutive same-block PPNs
+            # and adjust once per run (intermediate heap entries the
+            # per-page observer would push are dead on arrival, so
+            # aggregation is selection-equivalent).
+            adjust = vindex.adjust_if_tracked
+            prev = -1
+            run = 0
+            for ppn in old_ppns:
+                if ppn == UNMAPPED:
+                    continue
+                b = ppn // ppb
+                if b != prev:
+                    if run:
+                        adjust(prev, -run)
+                    prev = b
+                    run = 1
+                else:
+                    run += 1
+            if run:
+                adjust(prev, -run)
+            if sip.lpns:
                 sip_set = sip.lpns
                 hits = [i for i in range(chunk) if (first + i) in sip_set]
                 if hits:
@@ -1142,8 +1111,7 @@ class PageMappedFtl:
     def _close_block(self, block: int) -> None:
         self._closed[block] = True
         self._close_time[block] = self._clock()
-        if self.victim_index is not None:
-            self.victim_index.track(block, self.page_map.valid_count(block))
+        self.victim_index.track(block, self.page_map.valid_count(block))
 
     # ------------------------------------------------------------------
     # Translation tier (dftl mapping mode)
@@ -1321,17 +1289,13 @@ class PageMappedFtl:
         return np.flatnonzero(self._closed)
 
     def has_victim(self) -> bool:
-        """True if some candidate holds reclaimable garbage."""
-        if self.victim_index is not None:
-            # O(1) amortized: the global minimum decides -- some block
-            # has garbage iff the fewest-valid block has garbage.
-            top = self.victim_index.peek_min()
-            return top is not None and top[0] < self.geometry.pages_per_block
-        candidates = self.gc_candidates()
-        if len(candidates) == 0:
-            return False
-        valid = self.page_map.valid_counts()[candidates]
-        return bool((valid < self.geometry.pages_per_block).any())
+        """True if some candidate holds reclaimable garbage.
+
+        O(1) amortized: the global minimum decides -- some block has
+        garbage iff the fewest-valid block has garbage.
+        """
+        top = self.victim_index.peek_min()
+        return top is not None and top[0] < self.geometry.pages_per_block
 
     def collect_one_block(
         self,
@@ -1358,12 +1322,10 @@ class PageMappedFtl:
         if forced_victim is not None:
             victim: Optional[int] = forced_victim
         else:
-            if self.victim_index is not None and getattr(
-                self.victim_selector, "uses_valid_index", False
-            ):
-                # Fast path: candidates come straight off the index; no
-                # candidate array, no O(blocks) age vector (the greedy
-                # family never reads block_ages).
+            if getattr(self.victim_selector, "uses_valid_index", False):
+                # Candidates come straight off the index; no candidate
+                # array, no O(blocks) age vector (the greedy family
+                # never reads block_ages).
                 decision = self.victim_selector.select(
                     None,
                     self.page_map,
@@ -1428,36 +1390,38 @@ class PageMappedFtl:
         self._erases_since_wl_check += 1
         return latency
 
+    def _batch_migratable(self, victim: int) -> bool:
+        """True when ``victim`` may take the array-batched migration.
+
+        The per-page path is required under fault injection (every read
+        and program draws from the injector's streams in per-page
+        order), for translation-holding victims (each page routes by its
+        OOB-stamp namespace; batched remap handles data LPNs only), and
+        for ECC-stressed victims.  The ladder verdict is block-granular
+        (wear, retention age and disturb count are per-block), so one
+        check covers every page: a fast-path block batches identically
+        to the off model, anything stressed goes per page so each
+        migrated read pays its retry/soft/UECC toll.
+        """
+        if self.nand.fault_injector is not None:
+            return False
+        if self._dftl and self.page_map.block_holds_trans(victim):
+            return False
+        if self._rel_model is None:
+            return True
+        outcome = self._ladder_outcome(victim)
+        return outcome.level == 0 and outcome.ok
+
     def _migrate_and_erase(self, victim: int) -> int:
-        batched = (
-            self.victim_index is not None
-            and self.nand.fault_injector is None
-            and not (self._dftl and self.page_map.block_holds_trans(victim))
-        )
-        if batched and self._rel_model is not None:
-            # The ladder verdict is block-granular (wear, retention age
-            # and disturb count are per-block), so one check covers every
-            # page of the victim: a fast-path block batches identically
-            # to the off model, anything stressed takes the per-page
-            # path so each migrated read pays its retry/soft/UECC toll.
-            outcome = self._ladder_outcome(victim)
-            if outcome.level == 0 and outcome.ok:
-                self.stats.ecc_fast_reads += self.page_map.valid_count(victim)
-            else:
-                batched = False
-        if batched:
+        if self._batch_migratable(victim):
             latency = self._migrate_valid_pages_batched(victim)
         else:
-            # Per-page path: required under fault injection, and for
-            # translation-holding victims (each page routes by its
-            # OOB-stamp namespace; batched remap handles data LPNs only).
-            latency = self._migrate_valid_pages_scan(victim)
+            latency = self._migrate_valid_pages_per_page(victim)
         self.page_map.clear_block(victim)
         erase_ns, erased = self._erase_with_retry(victim)
         latency += erase_ns
         self._closed[victim] = False
-        if self.victim_index is not None:
-            self.victim_index.untrack(victim)
+        self.victim_index.untrack(victim)
         if not erased:
             # Grown bad block: every erase attempt failed.
             self.nand.mark_bad(victim)
@@ -1475,12 +1439,15 @@ class PageMappedFtl:
             self.allocator.release(victim)
         return latency
 
-    def _migrate_valid_pages_scan(self, victim: int) -> int:
-        """Per-page migration loop (executable specification).
+    def _migrate_valid_pages_per_page(self, victim: int) -> int:
+        """Per-page migration loop.
 
-        Also the only correct path under fault injection: every read and
-        program must draw from the injector's RNG streams in per-page
-        order, and any page may need retry/retirement recovery.
+        The production path whenever :meth:`_batch_migratable` refuses a
+        victim: under fault injection every read and program must draw
+        from the injector's RNG streams in per-page order and any page
+        may need retry/retirement recovery; translation pages relocate
+        to the translation frontier; and on an ECC-stressed victim each
+        read runs the escalation ladder on its own.
         """
         latency = 0
         victims_pages: List[Tuple[int, int]] = list(self.page_map.valid_lpns_in_block(victim))
@@ -1524,9 +1491,9 @@ class PageMappedFtl:
     def _migrate_valid_pages_batched(self, victim: int) -> int:
         """Array-batched migration: O(chunks) Python work, not O(pages).
 
-        Bit-identical externally to :meth:`_migrate_valid_pages_scan`
-        when no fault injector is attached (same NAND latencies, frontier
-        rolls, counters and final index state):
+        Bit-identical externally to :meth:`_migrate_valid_pages_per_page`
+        on every victim :meth:`_batch_migratable` admits (same NAND
+        latencies, frontier rolls, counters and final index state):
 
         * valid pages are read/programmed in chunks bounded by the GC
           frontier's remaining capacity, rolling frontiers exactly where
@@ -1565,18 +1532,21 @@ class PageMappedFtl:
             )
             self._write_seq += chunk
             pm.migrate_pages(victim, offsets[pos:pos + chunk], chunk_lpns, block, start)
-            if sip is not None and sip.lpns:
+            if sip.lpns:
                 sip.migrate(
                     victim, block, len(sip.lpns.intersection(chunk_lpns.tolist()))
                 )
             pos += chunk
         self.stats.gc_pages_read += n
         self.stats.gc_pages_migrated += n
+        if self._rel_model is not None:
+            # Admitted victims passed the block-granular fast-path check.
+            self.stats.ecc_fast_reads += n
         if self._dftl:
             # Batched victims are data-only (translation-holding blocks
-            # take the scan path), so every migrated LPN dirties its
+            # take the per-page path), so every migrated LPN dirties its
             # translation page; touches are deferred past the migration
-            # like the scan path's.
+            # like the per-page path's.
             ept = self.page_map.entries_per_tpage
             for tvpn in np.unique(lpns // ept):
                 latency += self._mapping_access(int(tvpn), dirty=True)
@@ -1693,38 +1663,31 @@ class PageMappedFtl:
     def set_sip_list(self, lpns: Iterable[int]) -> None:
         """Install the soon-to-be-invalidated page list from the host.
 
-        With indexing enabled the per-block overlap counters are updated
-        from the *delta* against the previous list (plus per-page
-        validity events), so the SIP-filtered selector never recounts a
-        candidate block's pages.
+        The per-block overlap counters are updated from the *delta*
+        against the previous list (plus per-page validity events), so
+        the SIP-filtered selector never recounts a candidate block's
+        pages.
         """
-        if self.sip_index is not None:
-            self.sip_lpns = self.sip_index.replace(lpns, self.page_map)
-        else:
-            self.sip_lpns = set(lpns)
+        self.sip_lpns = self.sip_index.replace(lpns, self.page_map)
 
     def invariant_check(self) -> None:
         """Cross-structure consistency check used by tests."""
         self.page_map.invariant_check()
-        if self.victim_index is not None:
-            expected = {
-                int(block): self.page_map.valid_count(int(block))
-                for block in np.flatnonzero(self._closed)
-            }
-            if dict(self.victim_index.items()) != expected:
-                raise AssertionError(
-                    "valid-count index disagrees with the closed-block scan"
-                )
-        if self.sip_index is not None:
-            recounted = np.zeros(self.geometry.total_blocks, dtype=np.int32)
-            if self.sip_lpns:
-                # Batched recount: one fancy-indexed lookup over the SIP
-                # set instead of a per-LPN Python loop.
-                np.add.at(recounted, self.page_map.mapped_blocks(self.sip_lpns), 1)
-            if not np.array_equal(self.sip_index.snapshot(), recounted):
-                raise AssertionError(
-                    "SIP-overlap counters disagree with a full recount"
-                )
+        expected = {
+            int(block): self.page_map.valid_count(int(block))
+            for block in np.flatnonzero(self._closed)
+        }
+        if dict(self.victim_index.items()) != expected:
+            raise AssertionError(
+                "valid-count index disagrees with the closed-block scan"
+            )
+        recounted = np.zeros(self.geometry.total_blocks, dtype=np.int32)
+        if self.sip_lpns:
+            # Batched recount: one fancy-indexed lookup over the SIP set
+            # instead of a per-LPN Python loop.
+            np.add.at(recounted, self.page_map.mapped_blocks(self.sip_lpns), 1)
+        if not np.array_equal(self.sip_index.snapshot(), recounted):
+            raise AssertionError("SIP-overlap counters disagree with a full recount")
         for block in range(self.geometry.total_blocks):
             in_pool = block in self.allocator
             is_active = block in (

@@ -54,7 +54,7 @@ class ValidCountIndex:
 
     Ranking is by ascending ``(count, block)``, which is bit-identical
     to ``np.argmin`` / stable ``np.argsort`` over the ascending-block
-    candidate array the scan path uses.
+    candidate array (the test oracles' ranking).
     """
 
     def __init__(self) -> None:

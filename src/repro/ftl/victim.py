@@ -76,8 +76,9 @@ class VictimSelector:
     #: Human-readable policy name (reports, repr).
     name = "abstract"
 
-    #: True when :meth:`select` accepts ``candidates=None`` plus the
-    #: ``valid_index`` / ``sip_overlap`` fast-path keywords.  The FTL
+    #: True when :meth:`select` ranks off the FTL's indexes: it is then
+    #: called with ``candidates=None`` plus the ``valid_index`` /
+    #: ``sip_overlap`` keywords instead of a candidate array.  The FTL
     #: only passes them when this is set, so selector subclasses with
     #: the original signature keep working unchanged.
     uses_valid_index = False
@@ -114,11 +115,10 @@ class VictimSelector:
 
 
 def _considered_via_index(valid_index, excluded_blocks: Optional[Set[int]]) -> int:
-    """Candidate population as the scan path would report it.
+    """Candidate population: ``len(filter_excluded(candidates))``.
 
-    The scan path counts ``len(filter_excluded(candidates))``; with the
-    index that is the tracked population minus any excluded block that
-    is (transiently) still tracked.
+    That is the tracked population minus any excluded block that is
+    (transiently) still tracked.
     """
     considered = len(valid_index)
     if excluded_blocks:
@@ -130,6 +130,8 @@ class GreedySelector(VictimSelector):
     """Choose the candidate with the fewest valid pages.
 
     Ties break toward the lowest block number, keeping runs deterministic.
+    Candidates come off the FTL's :class:`~repro.ftl.space.ValidCountIndex`,
+    which holds them in ``(count, block)`` order -- O(1) amortized.
     """
 
     name = "greedy"
@@ -145,31 +147,13 @@ class GreedySelector(VictimSelector):
         valid_index=None,
         sip_overlap=None,
     ) -> VictimDecision:
-        if valid_index is not None and candidates is None:
-            # Fast path: the FTL's ValidCountIndex already holds the
-            # candidates in (count, block) order -- O(1) amortized.
-            pick = valid_index.min_block(excluded_blocks)
-            if pick is None:
-                return VictimDecision(block=None)
-            best, valid = pick
-            return VictimDecision(
-                block=best,
-                candidates_considered=_considered_via_index(
-                    valid_index, excluded_blocks
-                ),
-                valid_pages=valid,
-                score=float(valid),
-            )
-        candidates = filter_excluded(candidates, excluded_blocks)
-        if len(candidates) == 0:
+        pick = valid_index.min_block(excluded_blocks)
+        if pick is None:
             return VictimDecision(block=None)
-        counts = page_map.valid_counts()[candidates]
-        pick = int(np.argmin(counts))
-        best = int(candidates[pick])
-        valid = int(counts[pick])
+        best, valid = pick
         return VictimDecision(
             block=best,
-            candidates_considered=len(candidates),
+            candidates_considered=_considered_via_index(valid_index, excluded_blocks),
             valid_pages=valid,
             score=float(valid),
         )
@@ -288,8 +272,9 @@ class SipFilteredSelector(VictimSelector):
     Table 3 -- when more than ``sip_fraction_threshold`` of its valid
     pages appear in the SIP list.  If every examined candidate is
     filtered, the plain greedy choice is used (GC must still make
-    progress).  At most ``max_rank_scan`` candidates are examined so
-    selection stays O(k · pages/block).
+    progress).  At most ``max_rank_scan`` candidates are examined; the
+    greedy ranking comes off the FTL's valid-count index and each
+    candidate's SIP content off its O(1) overlap counters.
 
     Args:
         sip_fraction_threshold: fraction of valid pages that must be SIP
@@ -315,10 +300,6 @@ class SipFilteredSelector(VictimSelector):
         #: Cumulative number of selections performed.
         self.total_selections = 0
 
-    def sip_valid_pages(self, block: int, page_map: PageMap, sip_lpns: Set[int]) -> int:
-        """Number of valid pages in ``block`` whose LPN is in the SIP list."""
-        return sum(1 for _, lpn in page_map.valid_lpns_in_block(block) if lpn in sip_lpns)
-
     def select(
         self,
         candidates: Optional[np.ndarray],
@@ -329,26 +310,15 @@ class SipFilteredSelector(VictimSelector):
         valid_index=None,
         sip_overlap=None,
     ) -> VictimDecision:
-        if valid_index is not None and candidates is None:
-            # Fast path: greedy-ranked prefix straight off the index,
-            # SIP content off the O(1) overlap counters.
-            considered = _considered_via_index(valid_index, excluded_blocks)
-            if considered == 0:
-                return VictimDecision(block=None)
-            ranked = [
-                block
-                for block, _count in valid_index.ranked_prefix(
-                    self.max_rank_scan, excluded_blocks
-                )
-            ]
-        else:
-            candidates = filter_excluded(candidates, excluded_blocks)
-            if len(candidates) == 0:
-                return VictimDecision(block=None)
-            considered = len(candidates)
-            counts = page_map.valid_counts()[candidates]
-            order = np.argsort(counts, kind="stable")
-            ranked = [int(candidates[i]) for i in order[: self.max_rank_scan]]
+        considered = _considered_via_index(valid_index, excluded_blocks)
+        if considered == 0:
+            return VictimDecision(block=None)
+        ranked = [
+            block
+            for block, _count in valid_index.ranked_prefix(
+                self.max_rank_scan, excluded_blocks
+            )
+        ]
         self.total_selections += 1
 
         if not sip_lpns:
@@ -378,11 +348,7 @@ class SipFilteredSelector(VictimSelector):
                     valid_pages=valid,
                     score=float(valid),
                 )
-            if sip_overlap is not None:
-                sip_pages = sip_overlap.overlap(block)
-            else:
-                sip_pages = self.sip_valid_pages(block, page_map, sip_lpns)
-            if sip_pages / valid > self.sip_fraction_threshold:
+            if sip_overlap.overlap(block) / valid > self.sip_fraction_threshold:
                 filtered += 1
                 continue
             self.total_filtered += filtered

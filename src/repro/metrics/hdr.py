@@ -23,7 +23,7 @@ response-time evaluation):
   concatenated stream (asserted by a hypothesis property test).
 
 Quantile definition (shared with the reservoir oracle in
-:mod:`repro.metrics.latency`): **nearest-rank** -- ``P_q`` is the value
+``tests/oracles``): **nearest-rank** -- ``P_q`` is the value
 of the sample at 1-based rank ``ceil(q/100 * N)`` (rank 1 when q = 0)
 in the sorted stream.  The reservoir returns that sample exactly; the
 histogram returns the upper bound of the bucket containing that rank
@@ -279,13 +279,14 @@ class HdrHistogram:
         )
 
 
-def merge_wire_histograms(wires: List[Optional[dict]]) -> Optional[HdrHistogram]:
-    """Merge wire-form histograms; None when any phase lacks one.
+def merge_wire_histograms(wires: List[dict]) -> Optional[HdrHistogram]:
+    """Merge wire-form histograms; None when there are none.
 
-    The SPO phase merge calls this: multi-phase percentiles are exact
-    only when every phase carried its full distribution.
+    The SPO phase merge calls this: every phase carries its full
+    distribution (empty when it recorded no ops), so multi-phase
+    percentiles are exact.
     """
-    if not wires or any(w is None for w in wires):
+    if not wires:
         return None
     merged = HdrHistogram.from_wire(wires[0])
     for wire in wires[1:]:

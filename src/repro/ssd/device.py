@@ -192,7 +192,7 @@ class SsdDevice:
             for lpn in request.lpns:
                 latency += ftl.host_read_page(lpn)
         elif request.is_write:
-            if request.page_count > 1 and ftl.supports_batched_writes:
+            if request.page_count > 1:
                 latency += ftl.host_write_extent(request.lpn, request.page_count)
             else:
                 for lpn in request.lpns:

@@ -12,6 +12,7 @@ from repro.experiments.crashsweep import (
 from repro.experiments.runner import ScenarioSpec, _run_scenario_host
 from repro.faults.powerloss import SpoPlan
 from repro.metrics.collector import RunMetrics
+from repro.metrics.hdr import HdrHistogram
 from repro.obs import ObservabilityConfig
 from repro.sim.simtime import SECOND
 
@@ -151,6 +152,18 @@ def test_spo_records_recovery_audit():
     assert len(outcome.cuts) == 1
 
 
+def test_spo_cut_at_window_start_emits_no_zero_length_phase():
+    # A cut at the very instant the measurement window opens used to
+    # close a zero-length phase ("window must have positive duration").
+    spec = ScenarioSpec(blocks=128, pages_per_block=16, warmup_s=2, measure_s=3)
+    outcome = run_scenario_with_spo(spec, SpoPlan(at_ns=(2 * SECOND,)))
+    assert len(outcome.cuts) == 1
+    assert outcome.metrics.spo_count == 1
+    assert len(outcome.phases) == 1
+    assert all(phase.duration_ns > 0 for phase in outcome.phases)
+    assert outcome.metrics.host_pages_written > 0
+
+
 def test_spo_cuts_outside_window_are_skipped():
     spec = small_spec(measure_s=4)
     end = (spec.warmup_s + spec.measure_s) * SECOND
@@ -181,14 +194,20 @@ def _metrics(**kwargs):
     return RunMetrics(**defaults)
 
 
+def _hist_wire(value, count):
+    hist = HdrHistogram()
+    hist.record(value, count)
+    return hist.to_wire()
+
+
 def test_merge_phase_metrics_weights_and_sums():
-    a = _metrics(duration_ns=1 * SECOND, iops=1000.0, p99_latency_ns=50)
+    a = _metrics(duration_ns=1 * SECOND, iops=1000.0, latency_hist=_hist_wire(50, 10))
     b = _metrics(
         duration_ns=3 * SECOND,
         iops=2000.0,
         host_pages_written=300,
         gc_pages_migrated=100,
-        p99_latency_ns=80,
+        latency_hist=_hist_wire(80, 30),
         device_read_only=True,
         trim_count=25,
     )
@@ -228,6 +247,5 @@ def test_light_fault_runs_still_batch_clean_extents():
         fault_profile="light",
     )
     _, host = _run_scenario_host(spec)
-    assert host.ftl.supports_batched_writes
     assert host.ftl.nand.batch_programs > 0
     assert host.ftl.nand.fault_injector.total_faults() >= 0

@@ -8,12 +8,13 @@ from repro.experiments.latencyreport import (
     latency_spec,
     run_latency_report,
 )
-from repro.experiments.runner import POLICY_FACTORIES, run_scenario
-from repro.metrics.collector import RunMetrics
+from repro.experiments.runner import POLICY_FACTORIES, ScenarioSpec, run_scenario
+from repro.host import HostSystem
+from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.hdr import HdrHistogram
-from repro.metrics.latency import reservoir_reference
 from repro.obs.attribution import CAUSES
 from repro.sim.simtime import SECOND
+from tests.oracles import reservoir_reference
 
 
 def _tiny_spec(**kwargs):
@@ -143,15 +144,39 @@ def test_merge_phase_metrics_sums_tail_attribution():
     assert merged.tail_causes["media-queueing"] == [2, 300]
 
 
-def test_merge_phase_metrics_falls_back_without_histograms():
-    # Phases that predate the HDR pipeline (latency_hist=None) still
-    # merge via the legacy max-of-percentiles estimate.
-    a = _phase([100] * 10)
-    b = _phase([200] * 10)
-    b.latency_hist = None
-    merged = merge_phase_metrics([a, b])
-    assert merged.latency_hist is None
-    assert merged.p99_latency_ns == max(a.p99_latency_ns, b.p99_latency_ns)
+def _idle_phase():
+    """A real collector window in which no operation completed."""
+    spec = ScenarioSpec(blocks=64, pages_per_block=8)
+    host = HostSystem(spec.make_config(), spec.make_policy(), seed=1)
+    collector = MetricsCollector(host, workload_name="YCSB")
+    collector.begin()
+    host.run_for(SECOND)
+    collector.end()
+    return collector.results()
+
+
+def test_merge_phase_metrics_exact_across_empty_phase():
+    idle = _idle_phase()
+    # An op-less window still carries its (empty) distribution.
+    assert idle.latency_hist == HdrHistogram().to_wire()
+    fast = list(range(100, 300))
+    slow = [5_000 + 37 * i for i in range(40)]
+    merged = merge_phase_metrics([_phase(fast), idle, _phase(slow)])
+
+    reference = HdrHistogram()
+    for value in fast + slow:
+        reference.record(value)
+    expect = reference.percentiles([50.0, 95.0, 99.0, 99.9, 99.99])
+    assert merged.latency_hist == reference.to_wire()
+    assert merged.p50_latency_ns == expect[50.0]
+    assert merged.p95_latency_ns == expect[95.0]
+    assert merged.p99_latency_ns == expect[99.0]
+    assert merged.p999_latency_ns == expect[99.9]
+    assert merged.p9999_latency_ns == expect[99.99]
+    assert merged.max_latency_ns == max(slow)
+    assert merged.mean_latency_ns == pytest.approx(reference.mean())
+    # A max-of-phase-percentiles merge would report the slow phase's p50.
+    assert merged.p50_latency_ns < _phase(slow).p50_latency_ns
 
 
 # ----------------------------------------------------------------------

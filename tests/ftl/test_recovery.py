@@ -202,10 +202,10 @@ def test_victim_selection_excludes_retired_blocks():
         for lpn in range(2 * GEOMETRY.pages_per_block):
             ftl.host_write_page(lpn)
     selector = GreedySelector()
-    best = selector.select(ftl.gc_candidates(), ftl.page_map).block
+    best = selector.select(None, ftl.page_map, valid_index=ftl.victim_index).block
     assert best is not None
     second = selector.select(
-        ftl.gc_candidates(), ftl.page_map, excluded_blocks={best}
+        None, ftl.page_map, excluded_blocks={best}, valid_index=ftl.victim_index
     ).block
     assert second is not None and second != best
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.ftl.mapping import PageMap
+from repro.ftl.space import SipOverlapIndex, ValidCountIndex
 from repro.ftl.victim import (
     CostBenefitSelector,
     GreedySelector,
     SipFilteredSelector,
 )
 from repro.nand.geometry import NandGeometry
+from tests import oracles
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 
@@ -23,9 +25,21 @@ def build_map(block_contents):
     return pm
 
 
+def select(selector, candidates, pm, sip_lpns=None):
+    """Run an index-backed selector over ``candidates`` (closed blocks)."""
+    valid_index = ValidCountIndex()
+    for block in candidates:
+        valid_index.track(block, pm.valid_count(block))
+    sip_overlap = SipOverlapIndex(GEOMETRY.total_blocks)
+    sip_overlap.replace(sip_lpns or (), pm)
+    return selector.select(
+        None, pm, sip_lpns=sip_lpns, valid_index=valid_index, sip_overlap=sip_overlap
+    )
+
+
 def test_greedy_picks_min_valid():
     pm = build_map({0: [1, 2, 3], 1: [4], 2: [5, 6]})
-    decision = GreedySelector().select(np.array([0, 1, 2]), pm)
+    decision = select(GreedySelector(), [0, 1, 2], pm)
     assert decision.block == 1
     assert decision.candidates_considered == 3
     assert decision.filtered_by_sip == 0
@@ -33,13 +47,13 @@ def test_greedy_picks_min_valid():
 
 def test_greedy_tie_breaks_low_block():
     pm = build_map({3: [1], 5: [2]})
-    decision = GreedySelector().select(np.array([3, 5]), pm)
+    decision = select(GreedySelector(), [3, 5], pm)
     assert decision.block == 3
 
 
 def test_greedy_empty_candidates():
     pm = build_map({})
-    decision = GreedySelector().select(np.array([], dtype=int), pm)
+    decision = select(GreedySelector(), [], pm)
     assert decision.block is None
 
 
@@ -68,7 +82,7 @@ def test_sip_filter_skips_sip_heavy_block():
     skip counted (Table 3 metric)."""
     pm = build_map({0: [1], 1: [2, 3]})
     selector = SipFilteredSelector(sip_fraction_threshold=0.5)
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={1})
+    decision = select(selector, [0, 1], pm, sip_lpns={1})
     assert decision.block == 1  # block 0 (valid={1}) is 100% SIP
     assert decision.filtered_by_sip == 1
     assert selector.total_filtered == 1
@@ -78,7 +92,7 @@ def test_sip_filter_skips_sip_heavy_block():
 def test_sip_filter_no_sip_list_behaves_greedy():
     pm = build_map({0: [1], 1: [2, 3]})
     selector = SipFilteredSelector()
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns=set())
+    decision = select(selector, [0, 1], pm, sip_lpns=set())
     assert decision.block == 0
     assert decision.filtered_by_sip == 0
 
@@ -87,7 +101,7 @@ def test_sip_filter_below_threshold_not_skipped():
     pm = build_map({0: [1, 2, 3], 1: [4, 5, 6, 7]})
     selector = SipFilteredSelector(sip_fraction_threshold=0.5)
     # Only 1/3 of block 0's valid pages are SIP -> keep it.
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={1})
+    decision = select(selector, [0, 1], pm, sip_lpns={1})
     assert decision.block == 0
     assert decision.filtered_by_sip == 0
 
@@ -95,7 +109,7 @@ def test_sip_filter_below_threshold_not_skipped():
 def test_sip_filter_all_filtered_falls_back_to_greedy():
     pm = build_map({0: [1], 1: [2, 3]})
     selector = SipFilteredSelector(sip_fraction_threshold=0.5)
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={1, 2, 3})
+    decision = select(selector, [0, 1], pm, sip_lpns={1, 2, 3})
     assert decision.block == 0  # fallback: plain greedy best
     assert decision.filtered_by_sip == 2
 
@@ -105,7 +119,7 @@ def test_sip_filter_empty_block_chosen_immediately():
     pm = build_map({0: [1], 1: []})
     pm.remap(1, pm.ppn(2, 0))  # invalidate block 0's only page
     selector = SipFilteredSelector()
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={99})
+    decision = select(selector, [0, 1], pm, sip_lpns={50})  # unmapped LPN
     assert decision.block in (0, 1)
     assert pm.valid_count(decision.block) == 0
 
@@ -113,8 +127,8 @@ def test_sip_filter_empty_block_chosen_immediately():
 def test_sip_filtered_fraction():
     pm = build_map({0: [1], 1: [2, 3]})
     selector = SipFilteredSelector()
-    selector.select(np.array([0, 1]), pm, sip_lpns={1})      # one filter event
-    selector.select(np.array([0, 1]), pm, sip_lpns=set())    # none
+    select(selector, [0, 1], pm, sip_lpns={1})      # one filter event
+    select(selector, [0, 1], pm, sip_lpns=set())    # none
     assert selector.filtered_fraction() == pytest.approx(0.5)
 
 
@@ -130,5 +144,7 @@ def test_sip_filter_parameter_validation():
 def test_sip_valid_pages_counts_only_valid():
     pm = build_map({0: [1, 2]})
     pm.remap(1, pm.ppn(1, 0))  # LPN 1 leaves block 0
-    selector = SipFilteredSelector()
-    assert selector.sip_valid_pages(0, pm, {1, 2}) == 1
+    assert oracles.sip_valid_pages(0, pm, {1, 2}) == 1
+    overlap = SipOverlapIndex(GEOMETRY.total_blocks)
+    overlap.replace({1, 2}, pm)
+    assert overlap.overlap(0) == 1

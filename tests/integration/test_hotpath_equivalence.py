@@ -1,13 +1,14 @@
-"""Indexed hot paths must be bit-identical to the reference scans.
+"""Indexed hot paths must be bit-identical to the brute-force oracles.
 
 The incremental indexes (PERFORMANCE.md) are pure accelerations: the
 page-cache expiry index, the predictor's interval histogram, the FTL's
 valid-count and SIP-overlap indexes, and the parallel sweep executor
-must all produce exactly the results of the original full-scan code.
-These tests drive both implementations -- property-style on the data
-structures, end-to-end on seed scenarios -- and assert equality of
-everything observable: query results, RunMetrics, and the decision-audit
-stream.
+must all produce exactly the results of the full-scan oracles in
+``tests/oracles``.  These tests check production against the oracles --
+property-style on the data structures, end-to-end on seed scenarios
+(whole runs inside :func:`~tests.oracles.scan_reference`) -- and assert
+equality of everything observable: query results, RunMetrics, and the
+decision-audit stream.
 """
 
 import os
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import perf
 from repro.core.buffered_predictor import BufferedWritePredictor
 from repro.experiments.fig2 import fig2_specs
 from repro.experiments.runner import ScenarioSpec, _run_scenario_host, run_sweep
@@ -31,13 +31,15 @@ from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
 from repro.obs import ObservabilityConfig
 from repro.oskernel.cache import PageCache
+from tests import oracles
+from tests.oracles import scan_reference
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=24)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
 
 
 # ----------------------------------------------------------------------
-# Page cache: expiry index vs full scan on random op sequences.
+# Page cache: expiry index vs the dirty-set scan on random op sequences.
 # ----------------------------------------------------------------------
 cache_ops = st.lists(
     st.tuples(
@@ -52,32 +54,27 @@ cache_ops = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(ops=cache_ops, tau=st.integers(min_value=1, max_value=20))
 def test_cache_expiry_index_matches_scan(ops, tau):
-    indexed = PageCache(page_size=4096, capacity_bytes=64 * 4096, indexed=True)
-    scan = PageCache(page_size=4096, capacity_bytes=64 * 4096, indexed=False)
+    cache = PageCache(page_size=4096, capacity_bytes=64 * 4096)
     now = 0
     for op, lpn, t in ops:
         now = max(now, t)
         if op == "write":
-            indexed.write_page(lpn, t)
-            scan.write_page(lpn, t)
+            cache.write_page(lpn, t)
         elif op == "invalidate":
-            indexed.invalidate([lpn])
-            scan.invalidate([lpn])
+            cache.invalidate([lpn])
         elif op == "writeback":
-            if scan.contains_dirty(lpn):
-                indexed.begin_writeback([lpn])
-                scan.begin_writeback([lpn])
-                indexed.complete_writeback([lpn])
-                scan.complete_writeback([lpn])
+            if cache.contains_dirty(lpn):
+                cache.begin_writeback([lpn])
+                cache.complete_writeback([lpn])
         else:
-            assert indexed.oldest_dirty() == scan.oldest_dirty()
-            assert list(indexed.iter_oldest_dirty()) == scan.oldest_dirty_scan()
-            got = {e.lpn for e in indexed.expired_dirty(now, tau)}
-            want = {e.lpn for e in scan.expired_dirty_scan(now, tau)}
+            assert cache.oldest_dirty() == oracles.oldest_dirty(cache)
+            assert list(cache.iter_oldest_dirty()) == oracles.oldest_dirty(cache)
+            got = {e.lpn for e in cache.expired_dirty(now, tau)}
+            want = {e.lpn for e in oracles.expired_dirty(cache, now, tau)}
             assert got == want
-    assert indexed.oldest_dirty() == scan.oldest_dirty_scan()
-    assert {e.lpn for e in indexed.expired_dirty(now, tau)} == {
-        e.lpn for e in scan.expired_dirty(now, tau)
+    assert cache.oldest_dirty() == oracles.oldest_dirty(cache)
+    assert {e.lpn for e in cache.expired_dirty(now, tau)} == {
+        e.lpn for e in oracles.expired_dirty(cache, now, tau)
     }
 
 
@@ -97,24 +94,21 @@ def test_cache_expiry_index_matches_scan(ops, tau):
 )
 def test_predictor_incremental_dbuf_matches_scan(writes, ticks):
     period, tau = 5, 30
-    indexed_cache = PageCache(4096, 128 * 4096, indexed=True)
-    scan_cache = PageCache(4096, 128 * 4096, indexed=False)
-    indexed = BufferedWritePredictor(indexed_cache, period, tau, incremental=True)
-    scan = BufferedWritePredictor(scan_cache, period, tau, incremental=False)
+    cache = PageCache(4096, 128 * 4096)
+    predictor = BufferedWritePredictor(cache, period, tau)
     for lpn, t in writes:
-        indexed_cache.write_page(lpn, t)
-        scan_cache.write_page(lpn, t)
+        cache.write_page(lpn, t)
     for tick in sorted(ticks):
         now = tick * period
-        a = indexed.predict(now)
-        b = scan.predict(now)
+        a = predictor.predict(now)
+        b = oracles.dbuf_scan(predictor, now)
         assert a.demands_bytes == b.demands_bytes
         assert a.sip.as_set() == b.sip.as_set()
 
 
 # ----------------------------------------------------------------------
 # NAND: the fast address probe must raise exactly what the geometry-backed
-# scan validation raises, and leave identical array state behind.
+# oracle validation raises, and leave identical array state behind.
 # ----------------------------------------------------------------------
 nand_ops = st.lists(
     st.tuples(
@@ -144,14 +138,13 @@ def _apply_nand_op(nand, op, block, page):
 @given(ops=nand_ops)
 def test_nand_fast_check_matches_scan(ops):
     fast = NandArray(GEOMETRY, TIMING)
-    with perf.scan_reference():
-        ref = NandArray(GEOMETRY, TIMING)
-    assert fast._check_addr == fast._check_addr_fast
-    assert ref._check_addr == ref._check_addr_scan
+    ref = NandArray(GEOMETRY, TIMING)
     for op, block, page in ops:
-        assert _apply_nand_op(fast, op, block, page) == _apply_nand_op(
-            ref, op, block, page
-        )
+        got = _apply_nand_op(fast, op, block, page)
+        with scan_reference():
+            assert NandArray._check_addr is oracles.check_addr
+            want = _apply_nand_op(ref, op, block, page)
+        assert got == want
     assert np.array_equal(fast.program_ptr, ref.program_ptr)
     assert np.array_equal(fast.block_states, ref.block_states)
     assert np.array_equal(fast.erase_counts, ref.erase_counts)
@@ -190,20 +183,14 @@ def test_nand_batch_ops_match_per_page_loops():
 
 # ----------------------------------------------------------------------
 # FTL: valid-count index, SIP-overlap counters, and victim decisions
-# agree with the scan implementation under random traffic.
+# agree with the candidate-scan oracles under random traffic.
 # ----------------------------------------------------------------------
-def _make_ftl(indexed: bool) -> PageMappedFtl:
-    def build() -> PageMappedFtl:
-        return PageMappedFtl(
-            NandArray(GEOMETRY, TIMING),
-            SpaceModel.from_op_ratio(GEOMETRY, 0.12),
-            victim_selector=SipFilteredSelector(),
-        )
-
-    if indexed:
-        return build()
-    with perf.scan_reference():
-        return build()
+def _make_ftl() -> PageMappedFtl:
+    return PageMappedFtl(
+        NandArray(GEOMETRY, TIMING),
+        SpaceModel.from_op_ratio(GEOMETRY, 0.12),
+        victim_selector=SipFilteredSelector(),
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,29 +202,36 @@ def test_ftl_indexes_match_scan_under_random_traffic(seed, writes):
     import random
 
     rng = random.Random(seed)
-    indexed = _make_ftl(indexed=True)
-    scan = _make_ftl(indexed=False)
-    assert indexed.victim_index is not None and indexed.sip_index is not None
-    assert scan.victim_index is None and scan.sip_index is None
+    indexed = _make_ftl()
+    scan = _make_ftl()
 
     user_pages = indexed.space.user_pages
     for step in range(writes):
         lpn = rng.randrange(user_pages // 2)
-        indexed.host_write_page(lpn)
-        scan.host_write_page(lpn)
+        sip = None
         if step % 17 == 0:
             sip = [rng.randrange(user_pages // 2) for _ in range(rng.randrange(8))]
+        indexed.host_write_page(lpn)
+        if sip is not None:
             indexed.set_sip_list(sip)
-            scan.set_sip_list(sip)
+        with scan_reference():
+            scan.host_write_page(lpn)
+            if sip is not None:
+                scan.set_sip_list(sip)
         if step % 13 == 0:
-            assert indexed.has_victim() == scan.has_victim()
-            if indexed.has_victim():
+            has_victim = indexed.has_victim()
+            assert has_victim == oracles.has_victim(indexed)
+            with scan_reference():
+                assert scan.has_victim() == has_victim
+            if has_victim:
                 a = indexed.collect_one_block(background=True)
-                b = scan.collect_one_block(background=True)
+                with scan_reference():
+                    b = scan.collect_one_block(background=True)
                 assert a == b
     # The index invariants hold, and both FTLs ended in the same state.
     indexed.invariant_check()
-    scan.invariant_check()
+    with scan_reference():
+        scan.invariant_check()
     assert dict(indexed.victim_index.items()) == {
         int(block): scan.page_map.valid_count(int(block))
         for block in scan.gc_candidates()
@@ -254,7 +248,7 @@ def _raises_message(check) -> str:
 
 
 def test_batched_invariant_check_matches_scan_on_clean_and_corrupted_state():
-    ftl = _make_ftl(indexed=True)
+    ftl = _make_ftl()
     user_pages = ftl.space.user_pages
     for lpn in range(user_pages // 2):
         ftl.host_write_page(lpn)
@@ -263,7 +257,7 @@ def test_batched_invariant_check_matches_scan_on_clean_and_corrupted_state():
     pm = ftl.page_map
     # Clean state: both implementations accept it.
     pm.invariant_check()
-    pm.invariant_check_scan()
+    oracles.page_map_invariant_check(pm)
     mapped = np.flatnonzero(pm._l2p != UNMAPPED)
     ppn = int(pm._l2p[mapped[0]])
 
@@ -271,30 +265,30 @@ def test_batched_invariant_check_matches_scan_on_clean_and_corrupted_state():
     saved = int(pm._p2l[ppn])
     pm._p2l[ppn] = int(mapped[-1]) if int(mapped[-1]) != saved else saved + 1
     batched_msg = _raises_message(pm.invariant_check)
-    scan_msg = _raises_message(pm.invariant_check_scan)
+    scan_msg = _raises_message(lambda: oracles.page_map_invariant_check(pm))
     assert batched_msg and batched_msg == scan_msg
     pm._p2l[ppn] = saved
 
     # Valid-bit corruption: population and per-block counters disagree.
     pm._valid[ppn] = False
     batched_msg = _raises_message(pm.invariant_check)
-    scan_msg = _raises_message(pm.invariant_check_scan)
+    scan_msg = _raises_message(lambda: oracles.page_map_invariant_check(pm))
     assert batched_msg and batched_msg == scan_msg
     pm._valid[ppn] = True
     pm.invariant_check()
-    pm.invariant_check_scan()
+    oracles.page_map_invariant_check(pm)
 
 
 # ----------------------------------------------------------------------
 # End-to-end: fig2- and fig7-style seed scenarios are bit-identical
-# (RunMetrics AND decision-audit streams) across the two paths.
+# (RunMetrics AND decision-audit streams) against their scan twins.
 # ----------------------------------------------------------------------
 AUDIT_OBS = ObservabilityConfig(audit=True, metrics_interval_ns=0)
 
 
 def _run_both(spec: ScenarioSpec):
     indexed_metrics, indexed_host = _run_scenario_host(spec)
-    with perf.scan_reference():
+    with scan_reference():
         scan_metrics, scan_host = _run_scenario_host(spec)
     return (indexed_metrics, indexed_host.obs.audit), (scan_metrics, scan_host.obs.audit)
 
@@ -337,10 +331,9 @@ def test_fig2_seed_scenario_bit_identical():
 
 @pytest.mark.parametrize("profile", ["none", "light", "heavy", "wearout"])
 def test_fault_profile_scenarios_bit_identical(profile):
-    # Under fault injection the FTL falls back to the per-page migration
-    # loop even in indexed mode (batch ops would reorder the per-op RNG
-    # streams); the indexed/scan equivalence contract must hold across
-    # every profile regardless.
+    # Under fault injection the FTL takes the per-page migration loop in
+    # production too (batch ops would reorder the per-op RNG streams);
+    # the equivalence contract must hold across every profile regardless.
     spec = ScenarioSpec(
         workload="YCSB",
         policy="JIT-GC",
@@ -432,7 +425,6 @@ def test_host_write_extent_matches_per_page_loop(extents, sip_seed):
         )
 
     batched, looped = build(), build()
-    assert batched.supports_batched_writes
     sip = {lpn for lpn in range(64) if (lpn * 7 + sip_seed) % 3 == 0}
     batched.set_sip_list(sip)
     looped.set_sip_list(sip)

@@ -187,8 +187,9 @@ def test_merge_wire_histograms():
     assert merged.count == 2
     assert merged.min() == 10
     assert merged.max() == 1_000_000
-    # Any phase without a histogram poisons the merge (exactness first).
-    assert merge_wire_histograms([a.to_wire(), None]) is None
+    # An empty phase (no ops recorded) leaves the merge unchanged.
+    empty = HdrHistogram().to_wire()
+    assert merge_wire_histograms([a.to_wire(), empty, b.to_wire()]) == merged
     assert merge_wire_histograms([]) is None
 
 

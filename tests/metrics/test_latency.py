@@ -1,8 +1,9 @@
-"""Tests for the reservoir-sampled latency recorder."""
+"""Tests for the reservoir-sampled latency oracle."""
 
 import pytest
 
-from repro.metrics.latency import LatencyRecorder
+from repro.metrics.collector import MetricsCollector
+from tests.oracles import LatencyRecorder, reservoir_reference
 
 
 def test_exact_stats_small_population():
@@ -64,15 +65,15 @@ def test_reservoir_matches_nearest_rank_while_exact():
 
 
 def test_reservoir_reference_flag_restores_on_exit():
-    from repro.metrics import latency
-
-    assert not latency.reservoir_reference_enabled()
-    with latency.reservoir_reference():
-        assert latency.reservoir_reference_enabled()
+    record_op = MetricsCollector.record_op
+    summary = MetricsCollector._latency_summary
+    with reservoir_reference():
+        patched = MetricsCollector.record_op
+        assert patched is not record_op
         with pytest.raises(RuntimeError):
-            with latency.reservoir_reference():
-                assert latency.reservoir_reference_enabled()
+            with reservoir_reference():
                 raise RuntimeError("boom")
-        # Still enabled: the inner exit restored the *outer* state.
-        assert latency.reservoir_reference_enabled()
-    assert not latency.reservoir_reference_enabled()
+        # Still patched: the inner exit restored the *outer* state.
+        assert MetricsCollector.record_op is patched
+    assert MetricsCollector.record_op is record_op
+    assert MetricsCollector._latency_summary is summary

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.oskernel.cache import PageCache
+from tests import oracles
 
 PAGE = 4096
 
@@ -191,21 +192,19 @@ def test_iter_oldest_dirty_matches_oldest_dirty():
         cache.write_page(lpn, now=now)
     assert [e.lpn for e in cache.iter_oldest_dirty()] == [2, 4, 3, 1]
     assert list(cache.iter_oldest_dirty()) == cache.oldest_dirty()
-    assert cache.oldest_dirty() == cache.oldest_dirty_scan()
+    assert cache.oldest_dirty() == oracles.oldest_dirty(cache)
 
 
 def test_indexed_and_scan_caches_agree_after_churn():
-    indexed = PageCache(PAGE, 64 * PAGE, indexed=True)
-    scan = PageCache(PAGE, 64 * PAGE, indexed=False)
-    for c in (indexed, scan):
-        for lpn in range(16):
-            c.write_page(lpn, now=lpn % 5)
-        c.begin_writeback([0, 1, 2])
-        c.complete_writeback([0, 1, 2])
-        c.invalidate([3, 4])
-        c.write_page(1, now=9)
-    assert indexed.oldest_dirty() == scan.oldest_dirty()
+    cache = PageCache(PAGE, 64 * PAGE)
+    for lpn in range(16):
+        cache.write_page(lpn, now=lpn % 5)
+    cache.begin_writeback([0, 1, 2])
+    cache.complete_writeback([0, 1, 2])
+    cache.invalidate([3, 4])
+    cache.write_page(1, now=9)
+    assert cache.oldest_dirty() == oracles.oldest_dirty(cache)
     for now, tau in ((10, 3), (10, 8), (4, 1)):
-        got = [e.lpn for e in indexed.expired_dirty(now, tau)]
-        want = [e.lpn for e in scan.expired_dirty(now, tau)]
+        got = [e.lpn for e in cache.expired_dirty(now, tau)]
+        want = [e.lpn for e in oracles.expired_dirty(cache, now, tau)]
         assert sorted(got) == sorted(want)
