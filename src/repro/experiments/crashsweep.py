@@ -128,10 +128,9 @@ class CrashSweepResult:
         )
 
 
-def _expected_free_blocks(nand: NandArray, streams: int = 2) -> int:
+def _expected_free_blocks(nand: NandArray, streams: int) -> int:
     """Media-visible free-pool expectation: every good ERASED block,
-    less one per write stream that lacks an OPEN block to resume
-    (``streams`` is 3 in dftl mode -- user, GC and translation)."""
+    less one per write stream that lacks an OPEN block to resume."""
     erased = int((nand.block_states == STATE_ERASED).sum())
     open_count = int((nand.block_states == STATE_OPEN).sum())
     return erased - max(0, streams - open_count)
@@ -272,13 +271,9 @@ def verify_crash_point(
         # durable image -- charge leaks with the rail down too).
         read_disturb=config.build_read_disturb(),
     )
-    frontiers = [live_ftl.active_user_block, live_ftl.active_gc_block]
-    if live_ftl.mapping_mode == "dftl":
-        frontiers.append(live_ftl.active_trans_block)
-    for block in frontiers:
-        if block is not None:
-            nand.tear_frontier_page(block)
-    expected_free = _expected_free_blocks(nand, streams=live_ftl._streams)
+    for stream in live_ftl.streams:
+        nand.tear_frontier_page(stream.block)
+    expected_free = _expected_free_blocks(nand, streams=len(live_ftl.streams))
 
     ftl, report = _recover(nand, config)
     _check_recovered_against_live(
@@ -307,7 +302,7 @@ def verify_crash_point(
             ftl2,
             nand2,
             report2,
-            _expected_free_blocks(nand2, streams=live_ftl._streams),
+            _expected_free_blocks(nand2, streams=len(live_ftl.streams)),
             sample_reads,
             rng,
         )

@@ -129,10 +129,10 @@ class PowerLossEmulator:
         nand = ftl.nand
         cut = PowerCut(t_ns=host.sim.now)
         if self.tear_frontiers:
-            for block in (ftl.active_user_block, ftl.active_gc_block):
-                page = nand.tear_frontier_page(block)
+            for stream in ftl.streams:
+                page = nand.tear_frontier_page(stream.block)
                 if page is not None:
-                    cut.torn.append((block, page))
+                    cut.torn.append((stream.block, page))
         cut.durable = nand.capture_durable_state()
         cut.events_dropped = host.sim.power_cut()
         if nand.tracer.enabled:

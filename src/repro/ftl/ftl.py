@@ -1,38 +1,53 @@
 """Page-mapped FTL with foreground and background garbage collection.
 
-:class:`PageMappedFtl` is the firmware model: it owns the logical→physical
-mapping, the free-block pool, the write frontiers and the GC engine.  It
-is deliberately synchronous -- every operation returns its NAND latency in
+:class:`PageMappedFtl` is the firmware model: it owns the mapping store,
+the free-block pool, the write streams and the GC engine.  It is
+deliberately synchronous -- every operation returns its NAND latency in
 nanoseconds -- and the SSD *device* model (:mod:`repro.ssd.device`) turns
 those latencies into simulated time, queueing and idleness.
+
+Every NAND program goes through one :class:`WriteStream` -- an append
+point that hands out the next page of its open block and rolls to a
+fresh block when that one fills.  The FTL runs one stream per class of
+write: ``user`` (host writes), ``gc`` (migrations) and, when the mapping
+store keeps its translation pages on flash, ``translation``.  One
+program-with-retry routine serves all of them, and a program failure
+retires the failed block through one routine too: its live pages move to
+the same stream's fresh block, routed by their OOB namespace (data LPN
+or translation page) to the matching remap.
 
 Write datapath (out-place update)::
 
     host write LPN
-      -> frontier page in the active user block (allocate a new free
-         block when the frontier fills)
+      -> next page of the user stream
       -> remap LPN, invalidating the previous physical page
+      -> touch the translation pages the write dirtied (none in DRAM)
     if the free pool is at the watermark  ->  FOREGROUND GC (stall)
 
 GC datapath::
 
     pick victim (pluggable selector; the paper's SIP filter plugs here)
-      -> migrate valid pages to the GC frontier
+      -> migrate valid pages: data to the GC stream, translation pages
+         to the translation stream
       -> erase victim, return it to the wear-ordered free pool
 
-The separation of user and GC write frontiers gives the natural hot/cold
+The separation of user and GC streams gives the natural hot/cold
 separation real FTLs rely on: migrated (cold-ish) data does not share
 blocks with fresh (hot) data.
+
+The mapping store (:mod:`repro.ftl.mapping`) hides whether the map lives
+in DRAM or on flash: the FTL always asks it which translation pages a
+set of LPNs dirtied, and the DRAM store always answers "none".
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.ftl.checkpoint_policy import CheckpointPolicy, IntervalCheckpointPolicy
-from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
+from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, build_page_map
 from repro.ftl.metastore import KIND_CHECKPOINT, KIND_UNMAP, build_checkpoint, build_tombstones
 from repro.ftl.scrub import RefreshScrubber
 from repro.ftl.space import SipOverlapIndex, SpaceModel, ValidCountIndex
@@ -80,6 +95,45 @@ class DeviceReadOnlyError(FtlError):
     over-provisioning capacity (or the spare pool), the graceful end of
     life of a real SSD: reads still work, writes are refused.
     """
+
+
+#: Indices of the write streams in :attr:`PageMappedFtl.streams`, in the
+#: order the mapping store's ``STREAMS`` names them.
+USER, GC, TRANSLATION = 0, 1, 2
+
+
+class WriteStream:
+    """One append point: the open block a class of writes fills in order.
+
+    :meth:`slot` hands out the next page, first closing a full block and
+    rolling to a fresh one from the FTL's free pool.
+    """
+
+    __slots__ = ("name", "block", "_ftl", "_program_ptr", "_ppb")
+
+    def __init__(self, name: str, ftl: "PageMappedFtl", block: int) -> None:
+        self.name = name
+        self.block = block
+        self._ftl = ftl
+        self._program_ptr = ftl.nand.program_ptr
+        self._ppb = ftl._ppb
+
+    def slot(self) -> Tuple[int, int]:
+        """``(block, page)`` of the next page to program."""
+        block = self.block
+        page = int(self._program_ptr[block])
+        if page >= self._ppb:
+            self.close()
+            block = self.block = self._ftl._allocate_block()
+            page = 0
+        return block, page
+
+    def close(self) -> None:
+        """Hand the (full) open block to GC as a victim candidate."""
+        ftl = self._ftl
+        ftl._closed[self.block] = True
+        ftl._close_time[self.block] = ftl._clock()
+        ftl.victim_index.track(self.block, ftl.page_map.valid_count(self.block))
 
 
 class PageMappedFtl:
@@ -144,10 +198,6 @@ class PageMappedFtl:
             raise ValueError("space model and NAND array use different geometries")
         if fgc_watermark < 2:
             raise ValueError(f"fgc_watermark must be >= 2, got {fgc_watermark}")
-        if mapping_mode not in ("dram", "dftl"):
-            raise ValueError(
-                f"mapping_mode must be 'dram' or 'dftl', got {mapping_mode!r}"
-            )
         if fgc_penalty < 1.0:
             raise ValueError(f"fgc_penalty must be >= 1.0, got {fgc_penalty}")
         for name, value in (
@@ -168,27 +218,12 @@ class PageMappedFtl:
         #: controller DRAM (the historical model); ``dftl`` stores
         #: translation pages on NAND behind an LRU cached mapping table
         #: with a configurable DRAM budget (1/64 of the full map by
-        #: default) and a third write frontier for translation blocks.
+        #: default) and a third write stream for translation blocks.
         self.mapping_mode = mapping_mode
-        self._dftl = mapping_mode == "dftl"
-        if self._dftl:
-            full_map_bytes = space.user_pages * 8
-            budget = (
-                cmt_budget_bytes
-                if cmt_budget_bytes is not None
-                else full_map_bytes // 64
-            )
-            self.cmt_budget_bytes = budget
-            capacity = max(1, budget // nand.geometry.page_size)
-            self.page_map: PageMap = CachedPageMap(
-                nand.geometry, space.user_pages, capacity
-            )
-        else:
-            self.cmt_budget_bytes = None
-            self.page_map = PageMap(nand.geometry, space.user_pages)
-        #: Write streams: user + GC frontiers, plus the translation
-        #: frontier in dftl mode (sizing floor for the free pool).
-        self._streams = 3 if self._dftl else 2
+        self.page_map = build_page_map(
+            mapping_mode, nand.geometry, space.user_pages, cmt_budget_bytes
+        )
+        self.cmt_budget_bytes = self.page_map.cmt_budget_bytes
         self.victim_selector = victim_selector or GreedySelector()
         self.fgc_watermark = fgc_watermark
         self.fgc_penalty = fgc_penalty
@@ -279,23 +314,13 @@ class PageMappedFtl:
         #: FtlStats (plain-int snapshot/delta contract) and surfaced in
         #: RunMetrics by the collector.
         self.ecc_retry_histogram: dict = {}
+        self._rel_model: Optional[ReliabilityModel] = None
+        self._scrubber: Optional[RefreshScrubber] = None
         if reliability is not None:
-            self._rel_model: Optional[ReliabilityModel] = ReliabilityModel(
-                reliability
-            )
-            # Modelled retention seconds per simulated nanosecond.
-            self._rel_accel_per_ns = reliability.retention_accel / 1e9
+            self._rel_model = ReliabilityModel(reliability)
             nand.set_reliability_clock(self._clock)
-            self._scrubber: Optional[RefreshScrubber] = (
-                RefreshScrubber(reliability) if reliability.scrub else None
-            )
-        else:
-            self._rel_model = None
-            self._rel_accel_per_ns = 0.0
-            self._scrubber = None
-        #: Per-block memo of ladder verdicts: block -> [outcome,
-        #: expiry_ns, reads-left-in-disturb-bucket].  See _ladder_outcome.
-        self._ladder_memo: Dict[int, list] = {}
+            if reliability.scrub:
+                self._scrubber = RefreshScrubber(reliability)
 
         if recovered is not None:
             self._install_recovered(recovered)
@@ -306,14 +331,18 @@ class PageMappedFtl:
             for block in range(self.geometry.total_blocks)
             if not nand.is_bad(block)
         ]
-        if len(good) < fgc_watermark + self._streams:
+        if len(good) < fgc_watermark + len(self.page_map.STREAMS):
             raise FtlError("not enough good blocks to operate")
         self.allocator = WearAwareAllocator(nand.endurance, initial_free=good)
+        self._open_streams((None,) * len(self.page_map.STREAMS))
 
-        self._active_user_block = self._allocate_block()
-        self._active_gc_block = self._allocate_block()
-        self._active_trans_block: Optional[int] = (
-            self._allocate_block() if self._dftl else None
+    def _open_streams(self, blocks: Sequence[Optional[int]]) -> None:
+        """Open the write streams the mapping store declares -- user, GC
+        and, with translation pages on flash, translation -- resuming
+        ``blocks`` where given and allocating a fresh block otherwise."""
+        self.streams: Tuple[WriteStream, ...] = tuple(
+            WriteStream(name, self, self._allocate_block() if block is None else block)
+            for name, block in zip(self.page_map.STREAMS, blocks)
         )
 
     def _install_recovered(self, recovered: "RecoveredFtlState") -> None:
@@ -327,13 +356,7 @@ class PageMappedFtl:
         """
         pm = self.page_map
         pm.load_mapping(recovered.l2p)
-        if self._dftl:
-            if recovered.gtd is None:
-                raise FtlError(
-                    "dftl mapping mode requires a recovered GTD "
-                    "(recovery scan ran without translation-stamp support?)"
-                )
-            pm.load_gtd(recovered.gtd)
+        pm.load_gtd(recovered.gtd)
         self._write_seq = recovered.write_seq
         self._ckpt_generation = recovered.checkpoint_generation
         self.retired_blocks = set(recovered.retired_blocks)
@@ -343,32 +366,13 @@ class PageMappedFtl:
         for block in recovered.closed_blocks:
             self._closed[block] = True
             self.victim_index.track(block, pm.valid_count(block))
-        self._active_user_block = (
-            recovered.active_user_block
-            if recovered.active_user_block is not None
-            else self._allocate_block()
-        )
-        self._active_gc_block = (
-            recovered.active_gc_block
-            if recovered.active_gc_block is not None
-            else self._allocate_block()
-        )
-        if self._dftl:
-            self._active_trans_block = (
-                recovered.active_trans_block
-                if recovered.active_trans_block is not None
-                else self._allocate_block()
-            )
-        else:
-            self._active_trans_block = None
+        self._open_streams(recovered.frontiers)
         if self.retired_blocks:
             # Re-seed the degraded-OP timeline so post-recovery metrics
             # start from the surviving capacity, not the nominal one.
             self.stats.blocks_retired = len(self.retired_blocks)
             self._op_series.append(self._clock(), self.effective_op_pages())
-        min_good = self.fgc_watermark + self._streams
-        if self.effective_op_pages() <= 0 or self.nand.good_blocks() < min_good:
-            self._enter_read_only()
+        self._check_spare_capacity()
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -390,16 +394,16 @@ class PageMappedFtl:
 
     @property
     def active_user_block(self) -> int:
-        return self._active_user_block
+        return self.streams[USER].block
 
     @property
     def active_gc_block(self) -> int:
-        return self._active_gc_block
+        return self.streams[GC].block
 
     @property
     def active_trans_block(self) -> Optional[int]:
         """Translation-block write frontier (None in dram mode)."""
-        return self._active_trans_block
+        return self.streams[TRANSLATION].block if len(self.streams) > TRANSLATION else None
 
     # ------------------------------------------------------------------
     # Capacity queries (the paper's Cfree / Cused)
@@ -409,15 +413,11 @@ class PageMappedFtl:
 
     def free_pages(self) -> int:
         """Pages writable without any GC: pool blocks + open frontiers."""
-        ppb = self.geometry.pages_per_block
-        frontier_user = ppb - self.nand.next_programmable_page(self._active_user_block)
-        frontier_gc = ppb - self.nand.next_programmable_page(self._active_gc_block)
-        frontier_trans = 0
-        if self._active_trans_block is not None:
-            frontier_trans = ppb - self.nand.next_programmable_page(
-                self._active_trans_block
-            )
-        return len(self.allocator) * ppb + frontier_user + frontier_gc + frontier_trans
+        ptr = self.nand.program_ptr
+        free = (len(self.allocator) + len(self.streams)) * self._ppb
+        for stream in self.streams:
+            free -= int(ptr[stream.block])
+        return free
 
     def free_bytes(self) -> int:
         """The paper's ``Cfree`` in bytes."""
@@ -489,7 +489,12 @@ class PageMappedFtl:
                 block=block,
                 effective_op_pages=effective_op,
             )
-        min_good = self.fgc_watermark + self._streams
+        self._check_spare_capacity()
+
+    def _check_spare_capacity(self) -> None:
+        """Go read-only once the OP is gone or the good blocks cannot
+        hold the FGC watermark plus one open block per stream."""
+        min_good = self.fgc_watermark + len(self.streams)
         if self.effective_op_pages() <= 0 or self.nand.good_blocks() < min_good:
             self._enter_read_only()
 
@@ -521,54 +526,6 @@ class PageMappedFtl:
                 retries=retries,
             )
 
-    def _ladder_outcome(self, block: int):
-        """ECC escalation ladder verdict for a read of ``block`` now.
-
-        Expected RBER is wear x retention age x disturb count; the model
-        buckets all three, so repeated reads of a block in the same
-        stress regime hit a cache.  Retention age uses the profile's
-        acceleration factor (modelled seconds per simulated second) --
-        accelerated profiles let a 30-second run cross the ECC cliff.
-
-        A per-block memo keeps the steady-state cost to one dict probe:
-        a verdict stays valid until the block's retention bucket rolls
-        over (``expiry_ns``, from the stamp it was computed against) or
-        its disturb bucket could advance (a countdown of reads), and is
-        dropped outright on erase (``_erase_with_retry``), which changes
-        all three stress inputs at once.  A stamp refreshed by a later
-        program only shortens the true age, so holding the older verdict
-        until the (earlier) expiry is conservative, never optimistic.
-        """
-        memo = self._ladder_memo
-        entry = memo.get(block)
-        if entry is not None and self._clock() < entry[1] and entry[2] > 0:
-            entry[2] -= 1
-            return entry[0]
-        nand = self.nand
-        stamp_ns = int(nand.last_program_ns[block])
-        age_ns = self._clock() - stamp_ns
-        if age_ns < 0:
-            # Clock skew across power cycles (standalone op-counter
-            # clocks restart at zero); treat as freshly programmed.
-            age_ns = 0
-        disturbs = (
-            int(nand.read_disturb.read_counts[block])
-            if nand.read_disturb is not None
-            else 0
-        )
-        retention_s = age_ns * self._rel_accel_per_ns
-        outcome = self._rel_model.read_outcome(
-            int(nand.erase_counts[block]), retention_s, disturbs
-        )
-        bucket_s = 1 << ReliabilityModel._RET_SHIFT
-        next_boundary_s = (int(retention_s) // bucket_s + 1) * bucket_s
-        expiry_ns = stamp_ns + int(next_boundary_s / self._rel_accel_per_ns)
-        reads_left = (1 << ReliabilityModel._DIST_SHIFT) - (
-            disturbs & ((1 << ReliabilityModel._DIST_SHIFT) - 1)
-        )
-        memo[block] = [outcome, expiry_ns, reads_left]
-        return outcome
-
     def _read_with_retry(self, block: int, page: int) -> Tuple[int, bool]:
         """Read one physical page, retrying uncorrectable reads.
 
@@ -584,7 +541,7 @@ class PageMappedFtl:
         """
         extra_ns = 0
         if self._rel_model is not None:
-            outcome = self._ladder_outcome(block)
+            outcome = self._rel_model.block_outcome(self.nand, block, self._clock())
             extra_ns = outcome.extra_ns
             if not outcome.ok:
                 # UECC: the whole priced ladder (hard retry levels plus
@@ -637,100 +594,98 @@ class PageMappedFtl:
             self._note_fault("read", block, page, "data-lost", attempts)
         return latency, False
 
-    def _program_frontier(self, user: bool, lpn: int) -> Tuple[int, int, int]:
-        """Program the next frontier page of the given stream, recovering
-        from injected program failures.
+    def _program(
+        self, stream: WriteStream, lpn: int, retire: bool = True
+    ) -> Tuple[int, int]:
+        """Program ``lpn`` (a data LPN or an encoded translation page) at
+        the next page of ``stream``, recovering from program failures.
 
         On a status-fail the spoiled block is retired (its live pages
-        relocated first) and the program is retried on a fresh frontier.
-        The successful program stamps ``(lpn, seq)`` into the page's OOB;
-        failed attempts leave their consumed page unstamped (torn-like)
-        and do not burn a sequence number.  Returns
-        ``(block, page, latency_ns)`` of the successful program.
+        relocated first) and the program is retried on a fresh frontier;
+        with ``retire`` off -- the relocation inside a retirement -- the
+        spoiled page just becomes garbage and the next slot is tried, so
+        recovery terminates.  The successful program stamps ``(lpn,
+        seq)`` into the page's OOB; failed attempts leave their consumed
+        page unstamped (torn-like) and do not burn a sequence number.
+        Returns ``(ppn, latency_ns)`` of the successful program.
         """
         latency = 0
         for _ in range(self.max_program_retries + 1):
-            block, page, extra = self._frontier_slot(user=user)
-            latency += extra
+            block, page = stream.slot()
             try:
                 latency += self.nand.program_page(block, page, lpn, self._write_seq)
-                self._write_seq += 1
-                return block, page, latency
             except ProgramFailError as fault:
                 latency += fault.latency_ns
                 self.stats.program_faults += 1
-                latency += self._retire_failed_frontier(block, user)
+                if retire:
+                    latency += self._retire_failed_frontier(stream, block)
+                continue
+            self._write_seq += 1
+            return block * self._ppb + page, latency
         raise FtlError(
-            f"program retry budget ({self.max_program_retries}) exhausted"
+            f"program retry budget ({self.max_program_retries}) exhausted "
+            f"on the {stream.name} stream"
         )
 
-    def _retire_failed_frontier(self, failed_block: int, user: bool) -> int:
-        """Retire the active block that just failed a program.
+    def _move_live_pages(
+        self, source: int, stream: Optional[WriteStream] = None
+    ) -> Tuple[int, List[int]]:
+        """Rewrite every live page of ``source``; returns ``(latency_ns,
+        lpns)`` with the OOB LPN of each page moved or lost.
 
-        A fresh frontier replaces it first, then the failed block's live
-        pages are rewritten onto that frontier (reads recover via
-        read-retry; pages lost anyway are unmapped and counted).  Returns
-        the NAND latency spent on the relocation.
+        GC migration (``stream`` None) routes each page by its OOB
+        namespace: data to the GC stream, translation pages to the
+        translation stream.  Retiring a failed frontier keeps its pages
+        on that ``stream``, where a nested program failure just burns
+        the next slot instead of retiring again, so recovery terminates.
+        Reads recover via read-retry.  A data page lost anyway is
+        unmapped; a translation page is reconstructible from the
+        authoritative mapping, so it is reprogrammed even when its read
+        is lost.  Touching the translation pages the moves dirtied is
+        left to the caller: a dirty eviction's writeback invalidates an
+        old translation copy, which must not happen while ``source``'s
+        valid set is being iterated.
         """
-        replacement = self._allocate_block()
-        if user:
-            self._active_user_block = replacement
-        else:
-            self._active_gc_block = replacement
-
         latency = 0
-        relocated_lpns = list(self.page_map.valid_lpns_in_block(failed_block))
-        for offset, lpn in relocated_lpns:
-            read_ns, ok = self._read_with_retry(failed_block, offset)
+        live = list(self.page_map.valid_lpns_in_block(source))
+        for offset, lpn in live:
+            read_ns, ok = self._read_with_retry(source, offset)
             latency += read_ns
             self.stats.gc_pages_read += 1
-            if not ok:
+            trans = lpn >= TRANS_LPN_BASE
+            if not ok and not trans:
                 # Data unrecoverable: drop the mapping; a later host read
                 # of this LPN returns an error (modelled as an unmapped
                 # read) rather than silently stale data.  Tombstoned so
                 # the loss also survives a crash.
                 latency += self._unmap_lost(lpn)
                 continue
-            programmed = False
-            for _ in range(self.max_program_retries + 1):
-                block, page, extra = self._frontier_slot(user=user)
-                latency += extra
-                try:
-                    latency += self.nand.program_page(
-                        block, page, lpn, self._write_seq
-                    )
-                    self._write_seq += 1
-                except ProgramFailError as fault:
-                    # Nested failure: the spoiled page becomes garbage;
-                    # keep trying the next slot without recursive
-                    # retirement so recovery terminates.
-                    latency += fault.latency_ns
-                    self.stats.program_faults += 1
-                    continue
-                self.page_map.remap(lpn, self.page_map.ppn(block, page))
+            target = stream or self.streams[TRANSLATION if trans else GC]
+            ppn, program_ns = self._program(target, lpn, retire=stream is None)
+            latency += program_ns
+            if trans:
+                self.page_map.remap_trans(lpn - TRANS_LPN_BASE, ppn)
+                self.stats.trans_pages_migrated += 1
+            else:
+                self.page_map.remap(lpn, ppn)
                 self.stats.gc_pages_migrated += 1
-                programmed = True
-                break
-            if not programmed:
-                raise FtlError(
-                    "program retry budget exhausted while retiring "
-                    f"block {failed_block}"
-                )
+        return latency, [lpn for _, lpn in live]
+
+    def _retire_failed_frontier(self, stream: WriteStream, failed_block: int) -> int:
+        """Retire ``stream``'s open block after it failed a program.
+
+        A fresh frontier replaces it first, then the failed block's live
+        pages are rewritten onto that frontier.  Returns the NAND latency
+        spent on the relocation.
+        """
+        stream.block = self._allocate_block()
+        latency, moved = self._move_live_pages(failed_block, stream)
         self.page_map.clear_block(failed_block)
         self.nand.mark_bad(failed_block)
         self._record_retirement(failed_block)
         if self.audit.enabled or self.tracer.enabled:
             self._note_fault("program", failed_block, -1, "block-retired")
-        if self._dftl:
-            # Every relocated (or lost) LPN dirtied its translation page;
-            # deferred past the relocation loop like the GC paths.
-            ept = self.page_map.entries_per_tpage
-            touched = sorted(
-                {lpn // ept for _, lpn in relocated_lpns}
-            )
-            for tvpn in touched:
-                latency += self._mapping_access(tvpn, dirty=True)
-        return latency
+        return latency + self._touch_translation(self.page_map.tvpns_of(moved))
 
     def _erase_with_retry(self, block: int) -> Tuple[int, bool]:
         """Erase ``block`` with bounded retries.
@@ -741,7 +696,8 @@ class PageMappedFtl:
         # The erase re-bases the retention clock, resets the disturb
         # counter and bumps the P/E count: any memoised ladder verdict
         # for the block is stale either way.
-        self._ladder_memo.pop(block, None)
+        if self._rel_model is not None:
+            self._rel_model.forget_block(block)
         latency = 0
         for _ in range(self.max_erase_retries + 1):
             try:
@@ -817,7 +773,7 @@ class PageMappedFtl:
                 )
             if self.needs_foreground_gc():
                 latency += self._run_foreground_gc()
-            block = self._active_user_block
+            block = self.streams[USER].block
             start = int(nand.program_ptr[block])
             if start >= ppb:
                 # Frontier roll: take the per-page helper for exactly one
@@ -880,13 +836,10 @@ class PageMappedFtl:
                     ]
                     sip.remap_batch(block, len(hits), hit_old)
             self.stats.host_pages_written += chunk
-            if self._dftl:
-                # One CMT touch per translation page the chunk spans (the
-                # per-page loop would touch each page's tvpn; duplicates
-                # within a chunk are hits and cost nothing).
-                ept = self.page_map.entries_per_tpage
-                for tvpn in range(first // ept, (first + chunk - 1) // ept + 1):
-                    latency += self._mapping_access(tvpn, dirty=True)
+            # One CMT touch per translation page the chunk spans (the
+            # per-page loop would touch each page's tvpn; duplicates
+            # within a chunk are hits and cost nothing).
+            latency += self._touch_translation(page_map.tvpns_spanning(first, chunk))
             pos += chunk
         if self._ckpt_policy is not None:
             # Once per extent, not per chunk: the checkpoint horizon may
@@ -904,11 +857,8 @@ class PageMappedFtl:
         first consults the cached mapping table; a miss pays a real NAND
         read of the translation page.
         """
-        latency = 0
-        if self._dftl:
-            latency += self._mapping_access(
-                self.page_map.tvpn_of(lpn), dirty=False
-            )
+        tvpns = self.page_map.tvpns_spanning(lpn, 1)
+        latency = self._touch_translation(tvpns, dirty=False) if tvpns else 0
         ppn = self.page_map.lookup(lpn)
         self.stats.host_pages_read += 1
         if ppn is None:
@@ -931,10 +881,7 @@ class PageMappedFtl:
         freed = self.page_map.unmap_many(lpns)
         self.stats.pages_trimmed += len(freed)
         latency = self._journal_tombstones(freed)
-        if self._dftl and freed:
-            ept = self.page_map.entries_per_tpage
-            for tvpn in sorted({lpn // ept for lpn in freed}):
-                latency += self._mapping_access(tvpn, dirty=True)
+        latency += self._touch_translation(self.page_map.tvpns_of(freed))
         if self.tracer.enabled and freed:
             self.tracer.emit(
                 "ftl", "ftl.trim", pages=len(freed), journal_ns=latency
@@ -1042,17 +989,16 @@ class PageMappedFtl:
             self.nand.program_ptr,
             self.nand.endurance.erase_counts,
             self._ppb,
-            gtd=self.page_map.gtd_snapshot() if self._dftl else None,
+            gtd=self.page_map.gtd_snapshot(),
         )
         record = self.nand.meta.append(KIND_CHECKPOINT, payload, generation=generation)
         self.nand.meta.compact()
         self._pages_at_last_ckpt = self.stats.host_pages_written
         if self._ckpt_policy is not None:
             self._ckpt_policy.note_checkpoint(self)
-        if self._dftl:
-            # The checkpoint persists the whole directory, so cached
-            # entries stop being writeback debt at this instant.
-            self.page_map.cmt_flush_all()
+        # The checkpoint persists the whole directory, so cached entries
+        # stop being writeback debt at this instant.
+        self.page_map.cmt_flush_all()
         self.stats.checkpoints_written += 1
         latency = self._meta_program(record.pages)
         if self.audit.enabled:
@@ -1078,40 +1024,13 @@ class PageMappedFtl:
 
     def _program_user_page(self, lpn: int) -> int:
         self._op_counter += 1
-        block, page, latency = self._program_frontier(user=True, lpn=lpn)
-        self.page_map.remap(lpn, block * self._ppb + page)
+        ppn, latency = self._program(self.streams[USER], lpn)
+        self.page_map.remap(lpn, ppn)
         self.stats.host_pages_written += 1
-        if self._dftl:
-            latency += self._mapping_access(
-                self.page_map.tvpn_of(lpn), dirty=True
-            )
+        tvpns = self.page_map.tvpns_spanning(lpn, 1)
+        if tvpns:  # per-page hot path: skip the call when the map is in DRAM
+            latency += self._touch_translation(tvpns)
         return latency
-
-    def _frontier_slot(self, user: bool) -> Tuple[int, int, int]:
-        """Return (block, page, extra_latency) for the next frontier page,
-        rolling to a fresh free block when the current frontier is full.
-
-        Reads the NAND's ``program_ptr`` vector directly: the active
-        block is FTL-owned, so re-validating its address through
-        :meth:`NandArray.next_programmable_page` per write is pure
-        overhead."""
-        block = self._active_user_block if user else self._active_gc_block
-        page = int(self.nand.program_ptr[block])
-        extra = 0
-        if page >= self._ppb:
-            self._close_block(block)
-            new_block = self._allocate_block()
-            if user:
-                self._active_user_block = new_block
-            else:
-                self._active_gc_block = new_block
-            block, page = new_block, 0
-        return block, page, extra
-
-    def _close_block(self, block: int) -> None:
-        self._closed[block] = True
-        self._close_time[block] = self._clock()
-        self.victim_index.track(block, self.page_map.valid_count(block))
 
     # ------------------------------------------------------------------
     # Translation tier (dftl mapping mode)
@@ -1124,158 +1043,69 @@ class PageMappedFtl:
         writeback traffic the buffered writes will induce.  Always 0.0
         in dram mode.
         """
-        if not self._dftl or self.stats.host_pages_written == 0:
+        if self.stats.host_pages_written == 0:
             return 0.0
         trans = self.stats.trans_pages_written + self.stats.trans_pages_migrated
         return trans / self.stats.host_pages_written
 
-    def _mapping_access(self, tvpn: int, dirty: bool) -> int:
-        """Consult the CMT for one translation page; returns ns latency.
+    def _touch_translation(self, tvpns: Sequence[int], dirty: bool = True) -> int:
+        """Consult the CMT for each of ``tvpns``; returns ns latency.
 
-        A hit is free (DRAM).  A miss pays a NAND read of the
-        translation page's newest flushed copy (nothing if it was never
-        flushed).  Making room may evict the LRU entry; a *dirty*
-        eviction pays a NAND program of a fresh translation page through
-        :meth:`_program_trans_page`.  Non-zero cost is recorded as a
+        ``tvpns`` comes from the mapping store, which never names a
+        translation page when the whole map sits in DRAM.  A hit is free
+        (DRAM).  A miss pays a NAND read of the translation page's
+        newest flushed copy (nothing if it was never flushed).  Making
+        room may evict the LRU entry; a *dirty* eviction programs a
+        fresh copy of that translation page on the translation stream.
+        Each access with a non-zero cost is recorded as a
         ``mapping-fault`` episode for tail attribution.
         """
         pm = self.page_map
-        hit, evicted = pm.cmt_touch(tvpn, dirty)
         stats = self.stats
-        latency = 0
-        kind = "miss"
-        if hit:
-            stats.cmt_hits += 1
-        else:
-            stats.cmt_misses += 1
-            ppn = pm.trans_ppn(tvpn)
-            if ppn is not None:
-                read_ns, _ok = self._read_with_retry(
-                    ppn // self._ppb, ppn % self._ppb
+        total = 0
+        for tvpn in tvpns:
+            hit, evicted = pm.cmt_touch(tvpn, dirty)
+            latency = 0
+            kind = "miss"
+            if hit:
+                stats.cmt_hits += 1
+            else:
+                stats.cmt_misses += 1
+                ppn = pm.trans_ppn(tvpn)
+                if ppn is not None:
+                    read_ns, _ok = self._read_with_retry(
+                        ppn // self._ppb, ppn % self._ppb
+                    )
+                    latency += read_ns
+                    stats.trans_pages_read += 1
+            pages = 1 if latency else 0
+            for evicted_tvpn, was_dirty in evicted:
+                if not was_dirty:
+                    continue
+                stats.cmt_evictions += 1
+                # The OOB stamp TRANS_LPN_BASE + tvpn puts the page in the
+                # translation namespace for recovery; remap_trans updates
+                # the GTD and invalidates the previous copy.
+                ppn, program_ns = self._program(
+                    self.streams[TRANSLATION], TRANS_LPN_BASE + evicted_tvpn
                 )
-                latency += read_ns
-                stats.trans_pages_read += 1
-        pages = 1 if latency else 0
-        for evicted_tvpn, was_dirty in evicted:
-            if not was_dirty:
-                continue
-            stats.cmt_evictions += 1
-            latency += self._program_trans_page(evicted_tvpn)
-            pages += 1
-            kind = "writeback"
-        if latency and (self.audit.enabled or self.tracer.enabled):
-            if self.audit.enabled:
+                pm.remap_trans(evicted_tvpn, ppn)
+                stats.trans_pages_written += 1
+                latency += program_ns
+                pages += 1
+                kind = "writeback"
+            if latency and self.audit.enabled:
                 self.audit.record_mapping_fault(
                     MappingFaultRecord(
-                        t_ns=self._clock(),
-                        dur_ns=latency,
-                        kind=kind,
-                        pages=pages,
+                        t_ns=self._clock(), dur_ns=latency, kind=kind, pages=pages
                     )
                 )
-            if self.tracer.enabled:
+            if latency and self.tracer.enabled:
                 self.tracer.emit(
-                    "ftl",
-                    "ftl.mapping_fault",
-                    tvpn=tvpn,
-                    kind=kind,
-                    dur_ns=latency,
+                    "ftl", "ftl.mapping_fault", tvpn=tvpn, kind=kind, dur_ns=latency
                 )
-        return latency
-
-    def _trans_frontier_slot(self) -> Tuple[int, int, int]:
-        """(block, page, extra_latency) of the next translation-frontier
-        page, rolling to a fresh block when the frontier fills."""
-        block = self._active_trans_block
-        page = int(self.nand.program_ptr[block])
-        if page >= self._ppb:
-            self._close_block(block)
-            block = self._allocate_block()
-            self._active_trans_block = block
-            page = 0
-        return block, page, 0
-
-    def _program_trans_page(self, tvpn: int, migrated: bool = False) -> int:
-        """Program a fresh copy of translation page ``tvpn``.
-
-        Stamps ``TRANS_LPN_BASE + tvpn`` in the page's OOB so recovery
-        classifies the page into the translation namespace, and updates
-        the GTD (invalidating the previous copy) through
-        :meth:`CachedPageMap.remap_trans`.
-        """
-        latency = 0
-        encoded = TRANS_LPN_BASE + tvpn
-        for _ in range(self.max_program_retries + 1):
-            block, page, extra = self._trans_frontier_slot()
-            latency += extra
-            try:
-                latency += self.nand.program_page(
-                    block, page, encoded, self._write_seq
-                )
-                self._write_seq += 1
-            except ProgramFailError as fault:
-                latency += fault.latency_ns
-                self.stats.program_faults += 1
-                latency += self._retire_failed_trans_frontier(block)
-                continue
-            self.page_map.remap_trans(tvpn, block * self._ppb + page)
-            if migrated:
-                self.stats.trans_pages_migrated += 1
-            else:
-                self.stats.trans_pages_written += 1
-            return latency
-        raise FtlError(
-            f"program retry budget ({self.max_program_retries}) exhausted "
-            "on the translation frontier"
-        )
-
-    def _retire_failed_trans_frontier(self, failed_block: int) -> int:
-        """Retire the translation frontier after a program status-fail.
-
-        Mirrors :meth:`_retire_failed_frontier`, with one difference:
-        translation content is reconstructible from the authoritative
-        mapping, so a live translation page whose read is lost is still
-        reprogrammed -- nothing is unmapped, no data is lost.
-        """
-        replacement = self._allocate_block()
-        self._active_trans_block = replacement
-        latency = 0
-        for offset, encoded in list(self.page_map.valid_lpns_in_block(failed_block)):
-            tvpn = encoded - TRANS_LPN_BASE
-            read_ns, _ok = self._read_with_retry(failed_block, offset)
-            latency += read_ns
-            self.stats.gc_pages_read += 1
-            programmed = False
-            for _ in range(self.max_program_retries + 1):
-                block, page, extra = self._trans_frontier_slot()
-                latency += extra
-                try:
-                    latency += self.nand.program_page(
-                        block, page, encoded, self._write_seq
-                    )
-                    self._write_seq += 1
-                except ProgramFailError as fault:
-                    # Nested failure: the spoiled page becomes garbage;
-                    # keep trying the next slot without recursive
-                    # retirement so recovery terminates.
-                    latency += fault.latency_ns
-                    self.stats.program_faults += 1
-                    continue
-                self.page_map.remap_trans(tvpn, block * self._ppb + page)
-                self.stats.trans_pages_migrated += 1
-                programmed = True
-                break
-            if not programmed:
-                raise FtlError(
-                    "program retry budget exhausted while retiring "
-                    f"translation block {failed_block}"
-                )
-        self.page_map.clear_block(failed_block)
-        self.nand.mark_bad(failed_block)
-        self._record_retirement(failed_block)
-        if self.audit.enabled or self.tracer.enabled:
-            self._note_fault("program", failed_block, -1, "block-retired")
-        return latency
+            total += latency
+        return total
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -1405,11 +1235,11 @@ class PageMappedFtl:
         """
         if self.nand.fault_injector is not None:
             return False
-        if self._dftl and self.page_map.block_holds_trans(victim):
+        if self.page_map.block_holds_trans(victim):
             return False
         if self._rel_model is None:
             return True
-        outcome = self._ladder_outcome(victim)
+        outcome = self._rel_model.block_outcome(self.nand, victim, self._clock())
         return outcome.level == 0 and outcome.ok
 
     def _migrate_and_erase(self, victim: int) -> int:
@@ -1449,44 +1279,10 @@ class PageMappedFtl:
         to the translation frontier; and on an ECC-stressed victim each
         read runs the escalation ladder on its own.
         """
-        latency = 0
-        victims_pages: List[Tuple[int, int]] = list(self.page_map.valid_lpns_in_block(victim))
-        touched_tvpns: List[int] = []
-        for offset, lpn in victims_pages:
-            if lpn >= TRANS_LPN_BASE:
-                # Translation page: relocate to the translation frontier.
-                # Its content is reconstructible from the authoritative
-                # mapping, so a lost read still reprograms -- no unmap.
-                read_ns, _ok = self._read_with_retry(victim, offset)
-                latency += read_ns
-                self.stats.gc_pages_read += 1
-                latency += self._program_trans_page(
-                    lpn - TRANS_LPN_BASE, migrated=True
-                )
-                continue
-            read_ns, ok = self._read_with_retry(victim, offset)
-            latency += read_ns
-            self.stats.gc_pages_read += 1
-            if self._dftl:
-                touched_tvpns.append(lpn // self.page_map.entries_per_tpage)
-            if not ok:
-                # Migration source unrecoverable: the logical page is
-                # lost; unmap it instead of propagating garbage, and
-                # tombstone the unmap so the loss survives a crash.
-                latency += self._unmap_lost(lpn)
-                continue
-            block, page, program_ns = self._program_frontier(user=False, lpn=lpn)
-            latency += program_ns
-            self.page_map.remap(lpn, self.page_map.ppn(block, page))
-            self.stats.gc_pages_migrated += 1
-        if touched_tvpns:
-            # Deferred past the loop: a dirty eviction's writeback
-            # invalidates an old translation copy, which must not happen
-            # while iterating the victim's own valid set.  (The victim's
-            # translation copies, if any, were remapped away above.)
-            for tvpn in sorted(set(touched_tvpns)):
-                latency += self._mapping_access(tvpn, dirty=True)
-        return latency
+        latency, moved = self._move_live_pages(victim)
+        # The victim's own translation copies, if any, were remapped
+        # away above.
+        return latency + self._touch_translation(self.page_map.tvpns_of(moved))
 
     def _migrate_valid_pages_batched(self, victim: int) -> int:
         """Array-batched migration: O(chunks) Python work, not O(pages).
@@ -1514,16 +1310,11 @@ class PageMappedFtl:
         nand = self.nand
         ppb = self.geometry.pages_per_block
         sip = self.sip_index
+        gc = self.streams[GC]
         latency = 0
         pos = 0
         while pos < n:
-            block = self._active_gc_block
-            start = int(nand.program_ptr[block])
-            if start >= ppb:
-                self._close_block(block)
-                block = self._allocate_block()
-                self._active_gc_block = block
-                start = 0
+            block, start = gc.slot()
             chunk = min(n - pos, ppb - start)
             chunk_lpns = lpns[pos:pos + chunk]
             latency += nand.read_pages_batch(victim, chunk)
@@ -1542,15 +1333,11 @@ class PageMappedFtl:
         if self._rel_model is not None:
             # Admitted victims passed the block-granular fast-path check.
             self.stats.ecc_fast_reads += n
-        if self._dftl:
-            # Batched victims are data-only (translation-holding blocks
-            # take the per-page path), so every migrated LPN dirties its
-            # translation page; touches are deferred past the migration
-            # like the per-page path's.
-            ept = self.page_map.entries_per_tpage
-            for tvpn in np.unique(lpns // ept):
-                latency += self._mapping_access(int(tvpn), dirty=True)
-        return latency
+        # Batched victims are data-only (translation-holding blocks take
+        # the per-page path), so every migrated LPN dirties its
+        # translation page; touches are deferred past the migration like
+        # the per-page path's.
+        return latency + self._touch_translation(pm.tvpns_of(lpns.tolist()))
 
     def _run_foreground_gc(self) -> int:
         """Collect until the pool is safely above the watermark."""
@@ -1688,14 +1475,10 @@ class PageMappedFtl:
             np.add.at(recounted, self.page_map.mapped_blocks(self.sip_lpns), 1)
         if not np.array_equal(self.sip_index.snapshot(), recounted):
             raise AssertionError("SIP-overlap counters disagree with a full recount")
+        active = {stream.block for stream in self.streams}
         for block in range(self.geometry.total_blocks):
             in_pool = block in self.allocator
-            is_active = block in (
-                self._active_user_block,
-                self._active_gc_block,
-                self._active_trans_block,
-            )
-            if in_pool and (is_active or self._closed[block]):
+            if in_pool and (block in active or self._closed[block]):
                 raise AssertionError(f"block {block} both free and in use")
             if in_pool and self.page_map.valid_count(block) != 0:
                 raise AssertionError(f"free block {block} holds valid pages")

@@ -8,11 +8,17 @@ creating the garbage that GC later reclaims.
 
 Physical page numbers are flat: ``ppn = block * pages_per_block + page``.
 
-Two ``MappingStore`` implementations share this interface:
+Two ``MappingStore`` implementations share this interface, and
+:func:`build_page_map` is the one place a ``mapping_mode`` picks between
+them -- the FTL never asks which store it holds:
 
 * :class:`PageMap` -- the all-DRAM page map: every LPN→PPN entry is
-  resident, translation costs nothing.  This is the historical (and
-  default) mode; its behaviour is bit-frozen by the equivalence suites.
+  resident, translation costs nothing.  Its translation hooks are free
+  no-ops (no translation pages are ever dirtied, there is no directory
+  to snapshot or flush), so the FTL's "touch the translation pages
+  these LPNs dirtied" loops simply have nothing to iterate.  This is
+  the historical (and default) mode; its behaviour is bit-frozen by the
+  equivalence suites.
 * :class:`CachedPageMap` -- the DFTL-class flash-resident map:
   translation pages live on NAND in dedicated translation blocks, a
   global translation directory (GTD) pins each translation page's
@@ -32,7 +38,7 @@ rebuild the GTD.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +53,50 @@ UNMAPPED: int = -1
 #: (2^48 4-KiB pages = 1 EiB) and comfortably inside int64 OOB slots.
 TRANS_LPN_BASE: int = 1 << 48
 
+#: Bytes per mapping entry (one int64 PPN) in a translation page.
+ENTRY_BYTES: int = 8
+
+
+def translation_layout(page_size: int, user_pages: int) -> Tuple[int, int]:
+    """``(entries_per_tpage, trans_pages)`` of the flash-resident map.
+
+    The single owner of the translation-page layout: the cached map, the
+    recovery scan and the analytic warm start all size the directory
+    through here.
+    """
+    entries = page_size // ENTRY_BYTES
+    return entries, -(-user_pages // entries)  # ceil
+
+
+def build_page_map(
+    mapping_mode: str,
+    geometry: NandGeometry,
+    user_pages: int,
+    cmt_budget_bytes: Optional[int] = None,
+) -> "PageMap":
+    """The mapping store for ``mapping_mode`` (``dram`` or ``dftl``).
+
+    ``dftl`` caps the cached mapping table at ``cmt_budget_bytes`` of
+    controller DRAM, 1/64 of the full map by default.
+    """
+    if mapping_mode == "dram":
+        return PageMap(geometry, user_pages)
+    if mapping_mode == "dftl":
+        if cmt_budget_bytes is None:
+            cmt_budget_bytes = user_pages * ENTRY_BYTES // 64
+        store = CachedPageMap(
+            geometry, user_pages, max(1, cmt_budget_bytes // geometry.page_size)
+        )
+        store.cmt_budget_bytes = cmt_budget_bytes
+        return store
+    raise ValueError(f"mapping_mode must be 'dram' or 'dftl', got {mapping_mode!r}")
+
+
+def write_stream_count(mapping_mode: str) -> int:
+    """Write frontiers an FTL over ``mapping_mode`` keeps open."""
+    store = CachedPageMap if mapping_mode == "dftl" else PageMap
+    return len(store.STREAMS)
+
 
 class PageMap:
     """LPN↔PPN translation state.
@@ -55,6 +105,13 @@ class PageMap:
         geometry: NAND geometry (defines the physical page space).
         user_pages: size of the logical page space.
     """
+
+    #: Write streams an FTL over this store runs, in allocation order.
+    STREAMS: Tuple[str, ...] = ("user", "gc")
+    #: Controller DRAM granted to a translation cache (none: all resident).
+    cmt_budget_bytes: Optional[int] = None
+    #: Translation pages with a flushed on-NAND copy (none in DRAM).
+    gtd_mapped_count = 0
 
     def __init__(self, geometry: NandGeometry, user_pages: int) -> None:
         if user_pages <= 0:
@@ -238,14 +295,21 @@ class PageMap:
         self._p2l[:] = UNMAPPED
         self._valid[:] = False
         self._valid_per_block[:] = 0
-        lpns = np.flatnonzero(self._l2p != UNMAPPED)
-        ppns = self._l2p[lpns]
+        self.mapped_count = self._claim_table(self._l2p, 0, "l2p table")
+
+    def _claim_table(self, table: np.ndarray, base: int, what: str) -> int:
+        """Mark every page ``table`` maps valid, with reverse entry
+        ``base + index``; returns the mapped count."""
+        keys = np.flatnonzero(table != UNMAPPED)
+        ppns = table[keys]
         if len(np.unique(ppns)) != len(ppns):
-            raise ValueError("l2p table maps two LPNs to the same physical page")
-        self._p2l[ppns] = lpns
+            raise ValueError(f"{what} maps two entries to the same physical page")
+        if self._valid[ppns].any():
+            raise ValueError(f"{what} entry collides with a mapped page")
+        self._p2l[ppns] = base + keys
         self._valid[ppns] = True
         np.add.at(self._valid_per_block, ppns // self._ppb, 1)
-        self.mapped_count = int(len(lpns))
+        return int(len(keys))
 
     def _invalidate_ppn(self, ppn: int) -> None:
         if not self._valid[ppn]:
@@ -377,8 +441,12 @@ class PageMap:
         self._valid_per_block[dst_block] += n
 
     def invariant_check(self) -> None:
-        """Full-state consistency check on batched array ops (O(total pages))."""
-        if int(self._valid.sum()) != self.mapped_count:
+        """Full-state consistency check on batched array ops (O(total pages)).
+
+        The validity plane is shared by every page class, so its
+        population is the data mapping plus the translation directory.
+        """
+        if int(self._valid.sum()) != self.mapped_count + self.gtd_mapped_count:
             raise AssertionError("valid-page population does not match mapped_count")
         per_block = np.add.reduceat(
             self._valid.astype(np.int32),
@@ -386,14 +454,41 @@ class PageMap:
         )
         if not np.array_equal(per_block, self._valid_per_block):
             raise AssertionError("per-block valid counters out of sync")
-        mapped = np.flatnonzero(self._l2p != UNMAPPED)
-        if len(mapped):
-            ppns = self._l2p[mapped]
-            bad = ~self._valid[ppns] | (self._p2l[ppns] != mapped)
+        self._check_table(self._l2p, 0, "l2p/p2l mismatch at LPN")
+
+    def _check_table(self, table: np.ndarray, base: int, what: str) -> int:
+        """Every mapped entry of ``table`` must point at a valid page whose
+        reverse entry is ``base + index``; returns the mapped count."""
+        keys = np.flatnonzero(table != UNMAPPED)
+        if len(keys):
+            ppns = table[keys]
+            bad = ~self._valid[ppns] | (self._p2l[ppns] != base + keys)
             if bad.any():
-                raise AssertionError(
-                    f"l2p/p2l mismatch at LPN {int(mapped[np.argmax(bad)])}"
-                )
+                raise AssertionError(f"{what} {int(keys[np.argmax(bad)])}")
+        return len(keys)
+
+    # ------------------------------------------------------------------
+    # Translation tier: free in DRAM (overridden by CachedPageMap)
+    # ------------------------------------------------------------------
+    def tvpns_of(self, lpns: Iterable[int]) -> Sequence[int]:
+        """Translation pages the data LPNs in ``lpns`` dirty, ascending."""
+        return ()
+
+    def tvpns_spanning(self, first_lpn: int, count: int) -> Sequence[int]:
+        """Translation pages covering the extent ``[first_lpn, +count)``."""
+        return ()
+
+    def gtd_snapshot(self) -> Optional[np.ndarray]:
+        return None
+
+    def load_gtd(self, gtd: Optional[np.ndarray]) -> None:
+        pass
+
+    def block_holds_trans(self, block: int) -> bool:
+        return False
+
+    def cmt_flush_all(self) -> List[int]:
+        return []
 
 
 class CachedPageMap(PageMap):
@@ -428,6 +523,9 @@ class CachedPageMap(PageMap):
     crash sweep verify bit-identically.
     """
 
+    #: Translation pages get their own write frontier.
+    STREAMS = ("user", "gc", "translation")
+
     def __init__(
         self,
         geometry: NandGeometry,
@@ -439,12 +537,11 @@ class CachedPageMap(PageMap):
             raise ValueError(
                 f"cmt_capacity_pages must be >= 1, got {cmt_capacity_pages}"
             )
-        #: Mapping entries per translation page (8-byte PPN entries).
-        self.entries_per_tpage = geometry.page_size // 8
-        self.trans_pages = -(-user_pages // self.entries_per_tpage)  # ceil
+        self.entries_per_tpage, self.trans_pages = translation_layout(
+            geometry.page_size, user_pages
+        )
         #: GTD: tvpn -> PPN of the newest flushed translation page.
         self._gtd = np.full(self.trans_pages, UNMAPPED, dtype=np.int64)
-        #: Translation pages with a flushed on-NAND copy.
         self.gtd_mapped_count = 0
         #: LRU cached mapping table: tvpn -> dirty flag, newest last.
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
@@ -455,6 +552,14 @@ class CachedPageMap(PageMap):
     # ------------------------------------------------------------------
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_tpage
+
+    def tvpns_of(self, lpns: Iterable[int]) -> Sequence[int]:
+        ept = self.entries_per_tpage
+        return sorted({lpn // ept for lpn in lpns if lpn < TRANS_LPN_BASE})
+
+    def tvpns_spanning(self, first_lpn: int, count: int) -> Sequence[int]:
+        ept = self.entries_per_tpage
+        return range(first_lpn // ept, (first_lpn + count - 1) // ept + 1)
 
     def trans_ppn(self, tvpn: int) -> Optional[int]:
         """PPN of ``tvpn``'s newest flushed copy, or None if never flushed."""
@@ -497,7 +602,7 @@ class CachedPageMap(PageMap):
             self._observer(block, TRANS_LPN_BASE + tvpn, 1)
         return old_ppn if old_ppn != UNMAPPED else None
 
-    def load_gtd(self, gtd: np.ndarray) -> None:
+    def load_gtd(self, gtd: Optional[np.ndarray]) -> None:
         """Install a recovered GTD in one shot.
 
         Must run *after* :meth:`load_mapping` (which resets the shared
@@ -505,21 +610,17 @@ class CachedPageMap(PageMap):
         reverse map / validity bitmap / per-block counters.  Does not
         fire the observer, matching :meth:`load_mapping`'s contract.
         """
+        if gtd is None:
+            raise ValueError(
+                "dftl mapping needs a recovered GTD "
+                "(recovery scan ran without translation-stamp support?)"
+            )
         if len(gtd) != self.trans_pages:
             raise ValueError(
                 f"gtd sized {len(gtd)}, directory holds {self.trans_pages} entries"
             )
         self._gtd[:] = gtd
-        tvpns = np.flatnonzero(self._gtd != UNMAPPED)
-        ppns = self._gtd[tvpns]
-        if len(np.unique(ppns)) != len(ppns):
-            raise ValueError("gtd maps two translation pages to the same PPN")
-        if self._valid[ppns].any():
-            raise ValueError("gtd entry collides with a mapped data page")
-        self._p2l[ppns] = TRANS_LPN_BASE + tvpns
-        self._valid[ppns] = True
-        np.add.at(self._valid_per_block, ppns // self._ppb, 1)
-        self.gtd_mapped_count = int(len(tvpns))
+        self.gtd_mapped_count = self._claim_table(self._gtd, TRANS_LPN_BASE, "gtd")
         self._cmt.clear()
 
     # ------------------------------------------------------------------
@@ -566,37 +667,9 @@ class CachedPageMap(PageMap):
     # ------------------------------------------------------------------
     def invariant_check(self) -> None:
         """Cross-check the shared validity plane over both page classes."""
-        expected = self.mapped_count + self.gtd_mapped_count
-        if int(self._valid.sum()) != expected:
-            raise AssertionError(
-                "valid-page population does not match mapped_count + "
-                "gtd_mapped_count"
-            )
-        per_block = np.add.reduceat(
-            self._valid.astype(np.int32),
-            np.arange(0, self.geometry.total_pages, self.geometry.pages_per_block),
-        )
-        if not np.array_equal(per_block, self._valid_per_block):
-            raise AssertionError("per-block valid counters out of sync")
-        mapped = np.flatnonzero(self._l2p != UNMAPPED)
-        if len(mapped):
-            ppns = self._l2p[mapped]
-            bad = ~self._valid[ppns] | (self._p2l[ppns] != mapped)
-            if bad.any():
-                raise AssertionError(
-                    f"l2p/p2l mismatch at LPN {int(mapped[np.argmax(bad)])}"
-                )
-        tvpns = np.flatnonzero(self._gtd != UNMAPPED)
-        if int(len(tvpns)) != self.gtd_mapped_count:
+        super().invariant_check()
+        flushed = self._check_table(self._gtd, TRANS_LPN_BASE, "gtd/p2l mismatch at tvpn")
+        if flushed != self.gtd_mapped_count:
             raise AssertionError("gtd_mapped_count out of sync with the GTD")
-        if len(tvpns):
-            ppns = self._gtd[tvpns]
-            bad = ~self._valid[ppns] | (
-                self._p2l[ppns] != TRANS_LPN_BASE + tvpns
-            )
-            if bad.any():
-                raise AssertionError(
-                    f"gtd/p2l mismatch at tvpn {int(tvpns[np.argmax(bad)])}"
-                )
         if len(self._cmt) > self.cmt_capacity_pages:
             raise AssertionError("CMT exceeds its capacity")

@@ -35,8 +35,8 @@ Power-on recovery proceeds checkpoint-first:
 4. **Torn-page discard** -- a consumed page whose OOB is unstamped was
    interrupted mid-program; it holds no trustworthy data.
 5. **Layout re-discovery** -- ERASED blocks form the free pool, OPEN
-   blocks (a partially-programmed frontier) resume as the active
-   user/GC frontiers, FULL blocks are closed GC candidates, and bad
+   blocks (a partially-programmed frontier) resume as the write
+   streams' open blocks, FULL blocks are closed GC candidates, and bad
    blocks not in the factory table are the grown-bad (retired) set.
 6. **Index rebuild + invariant check** -- the valid-count and SIP
    indexes are rebuilt from the reconstructed map and the recovered FTL
@@ -66,7 +66,12 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.ftl.ftl import FtlError, PageMappedFtl
-from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED
+from repro.ftl.mapping import (
+    TRANS_LPN_BASE,
+    UNMAPPED,
+    translation_layout,
+    write_stream_count,
+)
 from repro.ftl.metastore import (
     KIND_CHECKPOINT,
     KIND_UNMAP,
@@ -99,9 +104,9 @@ class RecoveredFtlState:
         closed_blocks: fully-programmed in-use blocks (GC candidates).
         retired_blocks: grown-bad blocks (bad marks absent from the
             factory table).
-        active_user_block: resumed user write frontier (None -> allocate
-            a fresh one from the pool).
-        active_gc_block: resumed GC write frontier (None -> allocate).
+        frontiers: resumed open block per write stream, in stream order
+            (user, GC, translation); None -> allocate a fresh one from
+            the pool.  A dram FTL ignores the translation entry.
         write_seq: next write-sequence stamp (max surviving stamp or
             tombstone + 1), preserving monotonicity across the power
             cycle.
@@ -110,20 +115,16 @@ class RecoveredFtlState:
             checkpoint must outrank even a torn newest generation.
         gtd: rebuilt global translation directory (dftl mapping mode;
             None for dram recoveries).
-        active_trans_block: resumed translation write frontier (dftl
-            only; None -> allocate).
     """
 
     l2p: np.ndarray
     free_blocks: List[int]
     closed_blocks: List[int]
     retired_blocks: Set[int]
-    active_user_block: Optional[int]
-    active_gc_block: Optional[int]
+    frontiers: Tuple[Optional[int], Optional[int], Optional[int]]
     write_seq: int
     checkpoint_generation: int = 0
     gtd: Optional[np.ndarray] = None
-    active_trans_block: Optional[int] = None
 
 
 @dataclass
@@ -616,11 +617,11 @@ def recover_ftl(
             OOB stamp, geometry-mismatched checkpoint, or more open
             frontiers than write streams).
     """
-    dftl = ftl_kwargs.get("mapping_mode", "dram") == "dftl"
+    mapping_mode = ftl_kwargs.get("mapping_mode", "dram")
+    dftl = mapping_mode == "dftl"
     trans_pages = 0
     if dftl:
-        entries_per_tpage = nand.geometry.page_size // 8
-        trans_pages = -(-space.user_pages // entries_per_tpage)  # ceil
+        _, trans_pages = translation_layout(nand.geometry.page_size, space.user_pages)
     meta = _load_metadata(nand, space.user_pages)
     if meta.checkpoint is not None:
         l2p, write_seq, report = _checkpoint_recovery(
@@ -632,7 +633,7 @@ def recover_ftl(
         )
     free, open_blocks, closed, retired = rediscover_layout(nand)
 
-    max_streams = 3 if dftl else 2
+    max_streams = write_stream_count(mapping_mode)
     if len(open_blocks) > max_streams:
         raise RecoveryError(
             f"{len(open_blocks)} partially-programmed blocks found; "
@@ -649,12 +650,7 @@ def recover_ftl(
         trans_stamped = [
             b
             for b in open_blocks
-            if bool(
-                (
-                    nand.oob_lpn[b * ppb : b * ppb + int(nand.program_ptr[b])]
-                    >= TRANS_LPN_BASE
-                ).any()
-            )
+            if (nand.oob_lpn[b * ppb : b * ppb + nand.program_ptr[b]] >= TRANS_LPN_BASE).any()
         ]
         if len(trans_stamped) > 1:
             raise RecoveryError(
@@ -665,21 +661,17 @@ def recover_ftl(
             active_trans = trans_stamped[0]
         elif len(open_blocks) == 3:
             active_trans = open_blocks[-1]
-    data_open = [b for b in open_blocks if b != active_trans]
-    active_user = data_open[0] if len(data_open) >= 1 else None
-    active_gc = data_open[1] if len(data_open) >= 2 else None
+    data_open = [b for b in open_blocks if b != active_trans] + [None, None]
 
     recovered = RecoveredFtlState(
         l2p=l2p,
         free_blocks=free,
         closed_blocks=closed,
         retired_blocks=retired,
-        active_user_block=active_user,
-        active_gc_block=active_gc,
+        frontiers=(data_open[0], data_open[1], active_trans),
         write_seq=write_seq,
         checkpoint_generation=meta.max_generation,
         gtd=report.gtd,
-        active_trans_block=active_trans,
     )
     ftl = PageMappedFtl(nand, space, recovered=recovered, **ftl_kwargs)
     ftl.invariant_check()

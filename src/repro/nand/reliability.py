@@ -355,7 +355,10 @@ class ReliabilityModel:
     Outcomes are cached per stress *bucket* (wear quantised to 64 P/E
     cycles -- matching the injector's page-failure cache -- retention to
     4096 modelled seconds, disturbs to 4096 reads), so the steady-state
-    read path costs one tuple hash, not a ladder walk.
+    read path costs one tuple hash, not a ladder walk.  On top of that,
+    :meth:`block_outcome` memoises each block's verdict until one of its
+    buckets can roll over, which brings a repeat read down to one dict
+    probe.
     """
 
     #: Bucket shifts: P/E cycles, modelled retention seconds, read count.
@@ -383,6 +386,11 @@ class ReliabilityModel:
         self._retry_cost = tuple(cumulative)
         self._ladder_cost = total  # every hard level attempted
         self._cache: Dict[Tuple[int, int, int], ReadOutcome] = {}
+        #: Modelled retention seconds per simulated nanosecond.
+        self._accel_per_ns = profile.retention_accel / 1e9
+        #: Per-block verdict memo: block -> [outcome, expiry_ns,
+        #: reads-left-in-disturb-bucket].  See block_outcome.
+        self._block_memo: Dict[int, list] = {}
 
     def expected_rber(
         self, pe_cycles: int, retention_s: float, read_disturbs: int
@@ -416,6 +424,54 @@ class ReliabilityModel:
             )
             self._cache[key] = outcome
         return outcome
+
+    def block_outcome(self, nand, block: int, now_ns: int) -> ReadOutcome:
+        """Ladder verdict for a read of ``block`` of ``nand`` at ``now_ns``.
+
+        Expected RBER is wear x retention age x disturb count.  Retention
+        age uses the profile's acceleration factor (modelled seconds per
+        simulated second) -- accelerated profiles let a 30-second run
+        cross the ECC cliff.
+
+        The verdict is memoised per block and stays valid until the
+        block's retention bucket rolls over (``expiry_ns``, from the
+        stamp it was computed against) or its disturb bucket could
+        advance (a countdown of reads).  The caller drops it with
+        :meth:`forget_block` on erase, which changes all three stress
+        inputs at once.  A stamp refreshed by a later program only
+        shortens the true age, so holding the older verdict until the
+        (earlier) expiry is conservative, never optimistic.
+        """
+        memo = self._block_memo
+        entry = memo.get(block)
+        if entry is not None and now_ns < entry[1] and entry[2] > 0:
+            entry[2] -= 1
+            return entry[0]
+        stamp_ns = int(nand.last_program_ns[block])
+        # Clock skew across power cycles (standalone op-counter clocks
+        # restart at zero) reads as freshly programmed.
+        age_ns = max(0, now_ns - stamp_ns)
+        disturbs = (
+            int(nand.read_disturb.read_counts[block])
+            if nand.read_disturb is not None
+            else 0
+        )
+        retention_s = age_ns * self._accel_per_ns
+        outcome = self.read_outcome(
+            int(nand.erase_counts[block]), retention_s, disturbs
+        )
+        bucket_s = 1 << self._RET_SHIFT
+        next_boundary_s = (int(retention_s) // bucket_s + 1) * bucket_s
+        expiry_ns = stamp_ns + int(next_boundary_s / self._accel_per_ns)
+        reads_left = (1 << self._DIST_SHIFT) - (
+            disturbs & ((1 << self._DIST_SHIFT) - 1)
+        )
+        memo[block] = [outcome, expiry_ns, reads_left]
+        return outcome
+
+    def forget_block(self, block: int) -> None:
+        """Drop ``block``'s memoised verdict (its stress state reset)."""
+        self._block_memo.pop(block, None)
 
     def _walk(self, rber: float) -> ReadOutcome:
         if rber <= self._fast_rber:

@@ -85,6 +85,29 @@ def test_cut_power_tears_frontiers_and_kills_the_queue():
         host.run_for(SECOND)
 
 
+def test_cut_power_tears_the_dftl_translation_frontier():
+    # 8 translation pages behind a one-page CMT: the prefill keeps
+    # writing translation pages back, and with this seed leaves their
+    # frontier mid-block at the cut.
+    config = SsdConfig.small(
+        blocks=128, pages_per_block=32, mapping_mode="dftl", cmt_budget_bytes=4096
+    )
+    host = HostSystem(config, lazy_bgc_policy(), seed=3)
+    host.prefill(host.user_pages // 2)
+    host.run_for(SECOND)
+    ftl = host.ftl
+    trans_block = ftl.active_trans_block
+    frontier_page = int(ftl.nand.program_ptr[trans_block])
+    assert 0 < frontier_page < config.geometry.pages_per_block
+    cut = PowerLossEmulator().cut_power(host)
+
+    assert (trans_block, frontier_page) in cut.torn
+    assert len(cut.torn) <= 3
+    ppn = trans_block * config.geometry.pages_per_block + frontier_page
+    assert cut.durable.program_ptr[trans_block] == frontier_page + 1
+    assert cut.durable.oob_seq[ppn] == OOB_UNSTAMPED
+
+
 def test_cut_without_tearing_models_quiescent_cut():
     host = _small_host()
     emulator = PowerLossEmulator(tear_frontiers=False)

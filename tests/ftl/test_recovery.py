@@ -1,10 +1,13 @@
 """Tests for FTL fault recovery: read retry, block retirement, degraded
 OP accounting and the read-only terminal state."""
 
+import random
+
 import pytest
 
 from repro.faults.injector import FaultInjector, FaultProfile
 from repro.ftl.ftl import DeviceReadOnlyError, PageMappedFtl
+from repro.ftl.mapping import TRANS_LPN_BASE
 from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
@@ -143,6 +146,72 @@ def test_unrecoverable_page_during_retirement_is_unmapped():
     assert ftl.stats.uncorrectable_reads == 1
     assert ftl.page_map.lookup(0) is None  # lost, not silently stale
     assert ftl.page_map.lookup(1) is not None
+    ftl.invariant_check()
+
+
+class StreamFailInjector(ScriptedInjector):
+    """Fails the first program on one write stream's open block once that
+    block holds live pages, then records that stream's open block at the
+    next program: the replacement frontier the retirement installed."""
+
+    def __init__(self, stream):
+        super().__init__()
+        self.stream = stream
+        self.ftl = None
+        self.failed = None
+        self.live = []
+        self.replacement = None
+
+    def program_fails(self, block, page, pe_cycles):
+        ftl = self.ftl
+        if ftl is None:
+            return False
+        stream = next(s for s in ftl.streams if s.name == self.stream)
+        if self.failed is None:
+            if block == stream.block and ftl.page_map.valid_count(block) > 0:
+                self.failed = block
+                self.live = list(ftl.page_map.valid_lpns_in_block(block))
+                self.program_faults += 1
+                self._log("program", block, page)
+                return True
+        elif self.replacement is None:
+            self.replacement = stream.block
+        return False
+
+
+@pytest.mark.parametrize("stream", ["user", "gc", "translation"])
+def test_program_fail_retires_each_streams_frontier(stream):
+    # 768 user pages span two 512-entry translation pages and the CMT
+    # holds one, so random writes keep writing translation pages back;
+    # overwrites on a 75%-full device keep GC migrating.
+    geometry = NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=128)
+    injector = StreamFailInjector(stream)
+    nand = NandArray(geometry, TIMING, fault_injector=injector)
+    space = SpaceModel.from_op_ratio(geometry, op_ratio=0.25)
+    ftl = PageMappedFtl(nand, space, mapping_mode="dftl", cmt_budget_bytes=4096)
+    injector.ftl = ftl
+    rng = random.Random(11)
+    for _ in range(20 * space.user_pages):
+        ftl.host_write_page(rng.randrange(space.user_pages))
+        if injector.replacement is not None:
+            break
+    failed = injector.failed
+    assert injector.live
+    assert injector.replacement not in (None, failed)
+
+    assert ftl.stats.program_faults == 1
+    assert ftl.retired_blocks == {failed}
+    assert ftl.nand.is_bad(failed)
+    pm = ftl.page_map
+    for _, lpn in injector.live:
+        if lpn >= TRANS_LPN_BASE:
+            # Still a translation page, and the GTD follows it.
+            ppn = pm.trans_ppn(lpn - TRANS_LPN_BASE)
+        else:
+            ppn = pm.lookup(lpn)
+            ftl.host_read_page(lpn)
+        assert pm.block_of(ppn) == injector.replacement
+        assert int(ftl.nand.oob_lpn[ppn]) == lpn
     ftl.invariant_check()
 
 
