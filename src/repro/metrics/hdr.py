@@ -104,14 +104,24 @@ class HdrHistogram:
     # Recording / merging
     # ------------------------------------------------------------------
     def record(self, value: int, n: int = 1) -> None:
-        """Count ``n`` occurrences of ``value`` (integer nanoseconds)."""
-        if value < 0:
-            raise ValueError(f"value must be >= 0, got {value}")
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
+        """Count ``n`` occurrences of ``value`` (integer nanoseconds).
+
+        The per-op latency path: the bucket arithmetic of
+        :meth:`bucket_index` is inlined.
+        """
+        if value < 0 or n <= 0:
+            raise ValueError(
+                f"value must be >= 0, got {value}" if value < 0
+                else f"n must be positive, got {n}"
+            )
         value = int(value)
-        index = self.bucket_index(value)
-        self.counts[index] = self.counts.get(index, 0) + n
+        if value < self._sub:
+            index = value
+        else:
+            shift = value.bit_length() - self.bucket_bits
+            index = self._sub + (shift - 1) * self._half + ((value >> shift) - self._half)
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + n
         self.count += n
         self.total += value * n
         if self._min is None or value < self._min:

@@ -36,6 +36,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 
+#: The empty ``removed`` list of a first write's dirty notification
+#: (shared: listeners only read what they are handed).
+_NO_PAGES: List[Tuple[int, int]] = []
+
+
 @dataclass
 class DirtyPage:
     """One dirty cache page.
@@ -100,7 +105,8 @@ class PageCache:
         #: flushes from early (fsync/volume-pressure) ones.
         self.writeback_listeners: List[Callable[[List[tuple]], None]] = []
         #: Callbacks fired on every dirty-population change with
-        #: ``(added, removed)`` lists of ``(lpn, last_update)`` pairs.
+        #: ``(added, removed)`` lists of ``(lpn, last_update)`` pairs,
+        #: which listeners must not modify.
         #: Exactly ONE call per cache operation, however many pages the
         #: operation touches -- the buffered predictor keeps its ``Dbuf``
         #: histogram current from these without rescanning the cache.
@@ -138,7 +144,7 @@ class PageCache:
     def _notify_dirty(
         self, added: List[Tuple[int, int]], removed: List[Tuple[int, int]]
     ) -> None:
-        for listener in list(self.dirty_listeners):
+        for listener in self.dirty_listeners:
             listener(added, removed)
 
     # ------------------------------------------------------------------
@@ -149,31 +155,38 @@ class PageCache:
 
         Callers must check :meth:`throttled` first; writing while
         throttled is allowed (the model keeps state consistent) but a
-        well-behaved dispatcher blocks the writer instead.
+        well-behaved dispatcher blocks the writer instead.  This is the
+        buffered-write hot path: listeners are called straight off their
+        lists (none (un)subscribes while notified) and the capacity and
+        throttle limits are checked inline.
         """
-        entry = self._dirty.get(lpn)
+        dirty = self._dirty
+        entry = dirty.get(lpn)
         if entry is not None:
             # Overwrite: age resets, flush is postponed (paper Fig. 4, B').
             old_ts = entry.last_update
             entry.last_update = now
-            self._dirty.move_to_end(lpn)
+            dirty.move_to_end(lpn)
             if old_ts != now:
                 self._bucket_remove(lpn, old_ts)
                 self._bucket_add(lpn, now)
             self.write_hits += 1
-            if self.dirty_listeners:
-                self._notify_dirty([(lpn, now)], [(lpn, old_ts)])
+            for listener in self.dirty_listeners:
+                listener([(lpn, now)], [(lpn, old_ts)])
             return
         # A write to a page under write-back re-dirties it.
-        self._in_writeback.pop(lpn, None)
-        self._clean.pop(lpn, None)
-        self._dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
+        in_writeback = self._in_writeback
+        in_writeback.pop(lpn, None)
+        clean = self._clean
+        clean.pop(lpn, None)
+        dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
         self._bucket_add(lpn, now)
-        if self.dirty_listeners:
-            self._notify_dirty([(lpn, now)], [])
-        self._evict_if_needed()
-        if self.throttled():
-            for listener in list(self.pressure_listeners):
+        for listener in self.dirty_listeners:
+            listener([(lpn, now)], _NO_PAGES)
+        if clean and len(dirty) + len(clean) + len(in_writeback) > self.capacity_pages:
+            self._evict_if_needed()
+        if len(dirty) + len(in_writeback) >= self.dirty_throttle_pages:
+            for listener in self.pressure_listeners:
                 listener()
 
     def read_page(self, lpn: int) -> bool:
@@ -317,8 +330,11 @@ class PageCache:
     # ------------------------------------------------------------------
     def _evict_if_needed(self) -> None:
         """LRU-evict clean pages past capacity (dirty pages are pinned)."""
-        while self.cached_pages > self.capacity_pages and self._clean:
-            self._clean.popitem(last=False)
+        clean = self._clean
+        excess = self.cached_pages - self.capacity_pages
+        while excess > 0 and clean:
+            clean.popitem(last=False)
+            excess -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

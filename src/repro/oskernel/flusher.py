@@ -21,6 +21,7 @@ its buffered-write predictor.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from repro.obs.tracer import NULL_TRACER
@@ -203,9 +204,7 @@ class FlusherThread:
                     IoKind.WRITEBACK,
                     start,
                     prev - start + 1,
-                    on_complete=lambda req, pages=extent: self.cache.complete_writeback(
-                        pages
-                    ),
+                    on_complete=partial(self.cache.complete_writeback, extent),
                 )
             )
             if lpn is not None:

@@ -19,7 +19,8 @@ reproduces the paper's Table 1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
 
@@ -139,7 +140,7 @@ class IoDispatcher:
                 IoKind.DIRECT_WRITE,
                 lpn,
                 page_count,
-                on_complete=(lambda req: on_complete()) if on_complete else None,
+                on_complete=on_complete,
             )
         )
 
@@ -210,7 +211,7 @@ class IoDispatcher:
                 )
             return
 
-        def fetched(req: IoRequest) -> None:
+        def fetched() -> None:
             for page in misses:
                 self.cache.insert_clean(page)
             if on_complete is not None:
@@ -266,7 +267,7 @@ class IoDispatcher:
                     IoKind.WRITEBACK,
                     start,
                     length,
-                    on_complete=lambda req, pages=extent: extent_done(pages),
+                    on_complete=partial(extent_done, extent),
                 )
             )
         return len(dirty)
@@ -289,7 +290,7 @@ class IoDispatcher:
                 IoKind.TRIM,
                 lpn,
                 page_count,
-                on_complete=(lambda req: on_complete()) if on_complete else None,
+                on_complete=on_complete,
             )
         )
 

@@ -5,7 +5,9 @@ This package provides the timing substrate on which every other subsystem
 It is a small but complete event-driven kernel:
 
 * :mod:`repro.sim.simtime` -- integer-nanosecond time base and unit helpers.
-* :mod:`repro.sim.events` -- schedulable events with stable ordering.
+* :mod:`repro.sim.events` -- event priorities and the event shape, a
+  ``(time, priority, seq, callback, name)`` tuple with stable ordering
+  (:data:`Event` names it).
 * :mod:`repro.sim.engine` -- the :class:`Simulator` event loop.
 * :mod:`repro.sim.process` -- generator-based sequential processes
   (used by closed-loop workload actors).

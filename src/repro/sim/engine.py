@@ -8,27 +8,27 @@ in deterministic ``(time, priority, sequence)`` order.
 The loop never advances time past the event being dispatched, so a callback
 always observes ``sim.now`` equal to its own firing time.
 
-Hot-path layout (PERFORMANCE.md): the heap holds flat
-``(time, priority, seq, event)`` tuples.  ``seq`` is unique per event, so
-heap sifting is decided entirely by C-level int comparison -- the
-:class:`~repro.sim.events.Event` object rides along and is never compared.
-``run`` / ``run_until`` inline the dispatch instead of calling
-:meth:`step` per event.
+Hot-path layout (PERFORMANCE.md): an event *is* its heap entry, the flat
+tuple ``(time, priority, seq, callback, name)``.  ``seq`` is unique per
+event, so heap sifting is decided by C-level int comparison of the first
+three fields and never reaches the callback.  Scheduling allocates that
+one tuple and nothing else.  :meth:`Simulator.cancel` takes the entry out
+of the heap at once (O(n); only tests cancel), so the dispatch loop never
+checks for cancelled events.  ``run``, ``run_until`` and ``step`` share
+one dispatch loop.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
 from time import perf_counter_ns
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
-from repro.sim.events import PRIORITY_NORMAL, Event, EventPriority  # noqa: F401
+from repro.sim.events import PRIORITY_NORMAL, Event
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: Heap entry: ``(time, priority, seq, event)``.
-_HeapEntry = Tuple[int, int, int, Event]
 
 
 class SimulationError(RuntimeError):
@@ -50,25 +50,17 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: int = 0
-        self._heap: List[_HeapEntry] = []
+        #: Current simulated time in integer nanoseconds.  Components
+        #: read it; only the loop (and :meth:`resume_at`) moves it.
+        self.now: int = 0
+        self._heap: List[Event] = []
         self._seq: int = 0
-        self._live: int = 0
-        self._running: bool = False
         self._stopped: bool = False
         self._dead: bool = False
         #: Number of events dispatched so far (monitoring / tests).
         self.dispatched: int = 0
         #: Optional wall-clock profiler (see :meth:`set_profiler`).
         self._profiler = None
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulated time in integer nanoseconds."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Profiling
@@ -84,7 +76,8 @@ class Simulator:
         With a profiler attached every dispatched event is timed with
         ``perf_counter_ns`` and accounted under its event name (or the
         callback's qualified name); with none attached the dispatch loop
-        pays only an ``is None`` check.
+        pays only an ``is None`` check.  Takes effect at the next
+        ``run``/``run_until``/``step`` call.
         """
         self._profiler = profiler
 
@@ -101,11 +94,17 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` ticks from now.
 
-        Returns the :class:`Event`, which the caller may :meth:`~Event.cancel`.
+        Returns the event (its heap entry), which :meth:`cancel` accepts.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for {name or callback}")
-        return self.schedule_at(self._now + delay, callback, priority=priority, name=name)
+        if self._dead:
+            raise SimulationError("simulator is dead after a power cut")
+        seq = self._seq
+        self._seq = seq + 1
+        entry = (self.now + delay, priority, seq, callback, name)
+        _heappush(self._heap, entry)
+        return entry
 
     def schedule_at(
         self,
@@ -116,74 +115,83 @@ class Simulator:
         name: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if self._dead:
-            raise SimulationError("simulator is dead after a power cut")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
-        seq = self._seq
-        event = Event(time, priority, seq, callback, name)
-        event._on_cancel = self._on_event_cancelled
-        self._seq = seq + 1
-        self._live += 1
-        _heappush(self._heap, (time, event.priority, seq, event))
-        return event
+        return self.schedule(time - self.now, callback, priority=priority, name=name)
 
-    def _on_event_cancelled(self) -> None:
-        self._live -= 1
+    def cancel(self, event: Event) -> None:
+        """Withdraw a pending event so it never fires.
+
+        Idempotent, and a no-op once the event has fired (or died in a
+        power cut).  O(n): the entry is taken out of the heap at once, so
+        :meth:`pending` and :meth:`peek_time` see only live events and
+        the dispatch loop never checks for cancellation.
+        """
+        heap = self._heap
+        for index, entry in enumerate(heap):
+            if entry is event:
+                heap[index] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
+                return
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _dispatch(self, time: int, event: Event) -> None:
-        """Fire one live event just popped off the heap."""
-        event._on_cancel = None  # fired: a late cancel() is a no-op
-        self._live -= 1
-        self._now = time
-        self.dispatched += 1
+    def _loop(self, horizon, max_events: Optional[int]) -> int:
+        """Fire due events in heap order; the one loop behind ``run``,
+        ``run_until`` and ``step``.
+
+        Stops when the heap drains, the next event is later than
+        ``horizon``, a callback calls :meth:`stop`, or ``max_events``
+        have fired while events remain (which counts as a stop, so
+        ``run_until`` leaves the clock at the last fired event).
+        Returns the number fired.  ``dispatched`` counts every fired
+        event, including one whose callback raises.
+        """
+        self._stopped = False
+        heap = self._heap
         profiler = self._profiler
-        if profiler is None:
-            event.callback()
-        else:
-            label = event.name or getattr(
-                event.callback, "__qualname__", "anonymous"
-            )
-            start = perf_counter_ns()
-            event.callback()
-            profiler.record(label, perf_counter_ns() - start)
+        limit = -1 if max_events is None else max_events
+        count = 0
+        try:
+            while heap and not self._stopped:
+                if count == limit:
+                    self._stopped = True
+                    break
+                entry = _heappop(heap)
+                time = entry[0]
+                if time > horizon:
+                    _heappush(heap, entry)  # not due yet: put it back
+                    break
+                self.now = time
+                count += 1
+                if profiler is None:
+                    entry[3]()
+                else:
+                    label = entry[4] or getattr(entry[3], "__qualname__", "anonymous")
+                    start = perf_counter_ns()
+                    entry[3]()
+                    profiler.record(label, perf_counter_ns() - start)
+        finally:
+            self.dispatched += count
+        return count
 
     def step(self) -> bool:
         """Dispatch the single next pending event.
 
         Returns ``False`` when the heap is empty (nothing was dispatched).
         """
-        heap = self._heap
-        while heap:
-            time, _prio, _seq, event = _heappop(heap)
-            if event.cancelled:
-                continue
-            self._dispatch(time, event)
-            return True
-        return False
+        return self._loop(inf, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event heap drains (or ``max_events`` dispatched).
 
         Returns the number of events dispatched by this call.
         """
-        self._stopped = False
-        count = 0
-        heap = self._heap
-        while not self._stopped and heap:
-            if max_events is not None and count >= max_events:
-                break
-            time, _prio, _seq, event = _heappop(heap)
-            if event.cancelled:
-                continue
-            self._dispatch(time, event)
-            count += 1
-        return count
+        return self._loop(inf, max_events)
 
     def run_until(self, time: int, max_events: Optional[int] = None) -> int:
         """Run events with timestamps ``<= time``, then set the clock to it.
@@ -198,25 +206,11 @@ class Simulator:
         """
         if self._dead:
             raise SimulationError("simulator is dead after a power cut")
-        if time < self._now:
-            raise SimulationError(f"run_until({time}) is in the past (now={self._now})")
-        self._stopped = False
-        count = 0
-        heap = self._heap
-        while not self._stopped and heap:
-            if max_events is not None and count >= max_events:
-                return count
-            head = heap[0]
-            if head[3].cancelled:
-                _heappop(heap)
-                continue
-            if head[0] > time:
-                break
-            _heappop(heap)
-            self._dispatch(head[0], head[3])
-            count += 1
+        if time < self.now:
+            raise SimulationError(f"run_until({time}) is in the past (now={self.now})")
+        count = self._loop(time, max_events)
         if not self._stopped:
-            self._now = max(self._now, time)
+            self.now = time
         return count
 
     def stop(self) -> None:
@@ -234,11 +228,11 @@ class Simulator:
         """
         if self._heap:
             raise SimulationError("resume_at with events pending")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"resume_at({time}) is in the past (now={self._now})"
+                f"resume_at({time}) is in the past (now={self.now})"
             )
-        self._now = time
+        self.now = time
 
     def power_cut(self) -> int:
         """Drop every pending event and stop the loop (sudden power-off).
@@ -250,11 +244,8 @@ class Simulator:
         :class:`SimulationError`; recovery builds a fresh one
         (:meth:`resume_at` continues the timeline).
         """
-        dropped = self._live
-        for entry in self._heap:
-            entry[3]._on_cancel = None
+        dropped = len(self._heap)
         self._heap.clear()
-        self._live = 0
         self._stopped = True
         self._dead = True
         return dropped
@@ -263,20 +254,12 @@ class Simulator:
     # Introspection
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        """Number of not-yet-cancelled events still queued."""
+        return len(self._heap)
 
     def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or ``None`` if idle.
-
-        Cancelled heads are popped lazily, so the amortized cost is
-        O(log n) per cancelled event rather than a full heap sort per
-        call.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            _heappop(heap)
-        return heap[0][0] if heap else None
+        """Timestamp of the next live event, or ``None`` if idle."""
+        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator now={self._now} pending={self.pending()}>"
+        return f"<Simulator now={self.now} pending={self.pending()}>"

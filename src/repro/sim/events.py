@@ -7,14 +7,14 @@ fire in scheduling order.  This determinism matters: GC-policy decisions
 depend on whether a device-idle notification is observed before or after a
 flusher tick at the same timestamp.
 
-The event core is structure-of-arrays flavoured (PERFORMANCE.md): the
-engine's heap holds plain ``(time, priority, seq, event)`` int tuples so
-ordering is decided by C-level tuple comparison, and :class:`Event` is a
-``__slots__`` record carrying a precomputed sort key.  The
-:class:`EventPriority` enum remains the documented vocabulary, but every
-hot scheduling site uses the hoisted module-level int constants below --
-``IntEnum`` member access goes through the enum metaclass and shows up in
-event-loop profiles.
+An event is a plain tuple, ``(time, priority, seq, callback, name)``: the
+engine's heap entry itself (PERFORMANCE.md), so scheduling allocates
+nothing else and ordering is decided by C-level tuple comparison of the
+three ints.  :data:`Event` names that shape.  The :class:`EventPriority`
+enum remains the documented vocabulary, but every hot scheduling site
+uses the hoisted module-level int constants below -- ``IntEnum`` member
+access goes through the enum metaclass and shows up in event-loop
+profiles.
 """
 
 from __future__ import annotations
@@ -46,71 +46,14 @@ PRIORITY_CONTROL: int = int(EventPriority.CONTROL)
 PRIORITY_LOW: int = int(EventPriority.LOW)
 
 
-class Event:
-    """A single scheduled callback (slotted, ints-only ordering state).
-
-    Attributes:
-        time: absolute simulated time (integer nanoseconds) at which the
-            event fires.
-        priority: tie-break class, see :class:`EventPriority` (stored as
-            a plain int).
-        seq: scheduling sequence number; assigned by the simulator.
-        key: precomputed ``(time, priority, seq)`` total-ordering key.
-        callback: zero-argument callable invoked when the event fires.
-        name: optional label used in error messages and traces.
-        cancelled: set via :meth:`cancel`; cancelled events are skipped
-            (lazily removed from the heap).
-    """
-
-    __slots__ = ("time", "priority", "seq", "key", "callback", "name",
-                 "cancelled", "_on_cancel")
-
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        callback: Callable[[], Any],
-        name: Optional[str] = None,
-    ) -> None:
-        self.time = time
-        self.priority = int(priority)
-        self.seq = seq
-        #: Precomputed sort key; the engine's heap entries embed it so the
-        #: heap never calls back into Python-level comparison.
-        self.key: Tuple[int, int, int] = (time, self.priority, seq)
-        self.callback = callback
-        self.name = name
-        self.cancelled = False
-        #: Set by the scheduling simulator so cancellation can keep its
-        #: live-event counter exact without scanning the heap.  Cleared
-        #: when the event fires or is cancelled, so a fired event held by
-        #: a component never keeps the simulator hook reachable.
-        self._on_cancel: Optional[Callable[[], None]] = None
-
-    def sort_key(self) -> Tuple[int, int, int]:
-        """The total ordering key used by the event heap."""
-        return self.key
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.key < other.key
-
-    def cancel(self) -> None:
-        """Mark the event so the engine discards it instead of firing it.
-
-        Cancellation is O(1); the heap entry is dropped when it surfaces.
-        Idempotent, and a no-op after the event has already fired (the
-        engine detaches the cancellation hook at dispatch, so a late
-        ``cancel()`` cannot corrupt the live-event count).
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
-            self._on_cancel = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = self.name or getattr(self.callback, "__qualname__", "callback")
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} prio={self.priority} {label}{state}>"
+#: A scheduled event: ``(time, priority, seq, callback, name)``.
+#:
+#: * ``time`` -- absolute simulated time (integer nanoseconds);
+#: * ``priority`` -- tie-break class, see :class:`EventPriority`;
+#: * ``seq`` -- scheduling sequence number, unique per simulator;
+#: * ``callback`` -- zero-argument callable invoked when the event fires;
+#: * ``name`` -- optional label (profiler rows, error messages).
+#:
+#: ``event[:3]`` is the total-ordering key.  The simulator returns the
+#: tuple from ``schedule``; pass it to ``Simulator.cancel`` to withdraw it.
+Event = Tuple[int, int, int, Callable[[], Any], Optional[str]]

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import PRIORITY_NORMAL
 
 
 class ProcessExit(Exception):
@@ -35,13 +34,15 @@ class ProcessExit(Exception):
 
 
 class Timeout:
-    """Yield command: sleep for ``delay`` ticks."""
+    """Yield command: sleep for ``delay`` ticks.
+
+    A negative ``delay`` is rejected by :meth:`Simulator.schedule
+    <repro.sim.engine.Simulator.schedule>` when the process yields it.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, delay: int) -> None:
-        if delay < 0:
-            raise ValueError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -74,10 +75,10 @@ class WaitFor:
             raise RuntimeError("WaitFor.wake() called twice")
         self._woken = True
         self._value = value
-        if self._process is not None:
-            process = self._process
+        process = self._process
+        if process is not None:
             self._process = None
-            process._resume_soon(self._value)
+            process._resume_soon(value)
 
     def _attach(self, process: "Process") -> bool:
         """Bind to a process; returns True if already woken (no parking)."""
@@ -94,7 +95,12 @@ class Process:
     """Drives a generator against a :class:`Simulator`.
 
     The generator advances inside simulator events, so everything it does
-    happens at well-defined simulated instants.
+    happens at well-defined simulated instants.  Every step -- start,
+    timeout expiry, wake-up -- is the same event: the process's one bound
+    :meth:`_step`, under a name fixed at construction (``<name>.start``,
+    ``<name>.timeout``, ``<name>.resume``).  A process has at most one
+    step queued, so the value a wake-up carries waits on the process
+    itself.  The generator is driven only through ``send`` and ``throw``.
     """
 
     def __init__(
@@ -108,9 +114,16 @@ class Process:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
+        self._send = generator.send
         self._on_exit = on_exit
         self._finished = False
         self._started = False
+        #: Sent into the generator by the next step (a wake-up's value).
+        self._value: Any = None
+        self._resume = self._step
+        self._start_name = f"{self.name}.start"
+        self._timeout_name = f"{self.name}.timeout"
+        self._resume_name = f"{self.name}.resume"
 
     @property
     def finished(self) -> bool:
@@ -121,11 +134,14 @@ class Process:
         if self._started:
             raise RuntimeError(f"process {self.name} already started")
         self._started = True
-        self.sim.schedule(delay, lambda: self._step(None), name=f"{self.name}.start")
+        self.sim.schedule(delay, self._resume, name=self._start_name)
         return self
 
     def kill(self) -> None:
-        """Terminate the generator by throwing :class:`ProcessExit` into it."""
+        """Terminate the generator by throwing :class:`ProcessExit` into it.
+
+        A step already queued finds the process finished and does nothing.
+        """
         if self._finished:
             return
         try:
@@ -137,26 +153,21 @@ class Process:
     # ------------------------------------------------------------------
     def _resume_soon(self, value: Any) -> None:
         """Resume at the current instant (still via the event loop)."""
-        self.sim.schedule(
-            0,
-            lambda: self._step(value),
-            priority=PRIORITY_NORMAL,
-            name=f"{self.name}.resume",
-        )
+        self._value = value
+        self.sim.schedule(0, self._resume, name=self._resume_name)
 
-    def _step(self, send_value: Any) -> None:
+    def _step(self) -> None:
         if self._finished:
             return
+        value = self._value
+        self._value = None
         try:
-            command = self._generator.send(send_value)
+            command = self._send(value)
         except StopIteration:
             self._finish()
             return
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
         if isinstance(command, Timeout):
-            self.sim.schedule(command.delay, lambda: self._step(None), name=f"{self.name}.timeout")
+            self.sim.schedule(command.delay, self._resume, name=self._timeout_name)
         elif isinstance(command, WaitFor):
             if command._attach(self):
                 # Already woken before we parked: resume with its value now.

@@ -100,6 +100,12 @@ class SsdDevice:
 
         self._queue: Deque[IoRequest] = deque()
         self._busy = False
+        #: The request in service with its scaled latency and FGC share
+        #: (one at a time), read back by :meth:`_complete`.
+        self._serving: Optional[IoRequest] = None
+        self._serving_latency = 0
+        self._serving_fgc_ns = 0
+        self._complete_event = self._complete
         self._bgc_active = False
         #: Invalidates pending idle checks whenever host activity occurs.
         self._idle_token = 0
@@ -176,11 +182,11 @@ class SsdDevice:
         raw_latency, fgc_ns = self._execute(request)
         latency = self._scale_latency(raw_latency, request.page_count, fgc_ns)
         self._busy = True
+        self._serving = request
+        self._serving_latency = latency
+        self._serving_fgc_ns = fgc_ns
         self.sim.schedule(
-            latency,
-            lambda: self._complete(request, latency, fgc_ns),
-            priority=PRIORITY_DEVICE,
-            name="ssd.complete",
+            latency, self._complete_event, priority=PRIORITY_DEVICE, name="ssd.complete"
         )
 
     def _execute(self, request: IoRequest) -> tuple:
@@ -216,7 +222,11 @@ class SsdDevice:
         factor = min(self.parallelism, max(1, pages)) if fgc_ns == 0 else self.parallelism
         return max(1, raw_ns // factor)
 
-    def _complete(self, request: IoRequest, latency: int, fgc_ns: int) -> None:
+    def _complete(self) -> None:
+        request = self._serving
+        latency = self._serving_latency
+        fgc_ns = self._serving_fgc_ns
+        self._serving = None
         self._busy = False
         request.complete_time = self.sim.now
         self.busy_ns += latency
@@ -255,7 +265,7 @@ class SsdDevice:
             self.read_busy_ns += latency
 
         if request.on_complete is not None:
-            request.on_complete(request)
+            request.on_complete()
         for listener in self.completion_listeners:
             listener(request)
 

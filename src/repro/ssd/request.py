@@ -35,8 +35,9 @@ class IoRequest:
         kind: request class, see :class:`IoKind`.
         lpn: first logical page number.
         page_count: extent length in pages.
-        on_complete: optional callback invoked with this request when the
-            device finishes service.
+        on_complete: optional zero-argument callback invoked when the
+            device finishes service (callers that need the request close
+            over it).
         submit_time / start_time / complete_time: filled by the device for
             latency accounting (integer nanoseconds; -1 = not yet).
     """
@@ -44,7 +45,7 @@ class IoRequest:
     kind: IoKind
     lpn: int
     page_count: int
-    on_complete: Optional[Callable[["IoRequest"], None]] = None
+    on_complete: Optional[Callable[[], None]] = None
     request_id: int = field(default_factory=lambda: next(_request_ids))
     submit_time: int = -1
     start_time: int = -1

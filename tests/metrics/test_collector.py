@@ -23,13 +23,16 @@ def test_window_scoped_results():
     host.device.submit(IoRequest(IoKind.DIRECT_WRITE, 0, 4))
     host.run_for(SECOND)
     metrics.begin()
+
+    def timed_request(lpn):
+        req = IoRequest(IoKind.DIRECT_WRITE, lpn, 1)
+        req.on_complete = lambda: metrics.record_op(req.latency())
+        return req
+
     for index in range(10):
         host.sim.schedule(
             index * 1_000_000,
-            lambda i=index: host.device.submit(
-                IoRequest(IoKind.DIRECT_WRITE, i, 1,
-                          on_complete=lambda r: metrics.record_op(r.latency()))
-            ),
+            lambda i=index: host.device.submit(timed_request(i)),
         )
     host.run_for(SECOND)
     metrics.end()

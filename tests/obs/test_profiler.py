@@ -1,5 +1,7 @@
 """Tests for the wall-clock event-loop profiler."""
 
+from repro.experiments.runner import ScenarioSpec, _run_scenario_host
+from repro.obs import ObservabilityConfig
 from repro.obs.profiler import LoopProfiler
 from repro.sim.engine import Simulator
 
@@ -62,3 +64,19 @@ def test_simulator_profiler_detach():
     sim.schedule_at(2, lambda: None, name="b")
     sim.run()
     assert profiler.counts == {"a": 1}
+
+
+def test_profiler_labels_of_a_workload_run_are_pinned():
+    # The per-event labels --profile reports: process steps are named
+    # after their process, device and dispatcher events after the site.
+    spec = ScenarioSpec(
+        workload="YCSB", blocks=64, pages_per_block=16, warmup_s=1, measure_s=2, seed=3,
+        obs=ObservabilityConfig(profile=True, metrics_interval_ns=0),
+    )
+    _metrics, host = _run_scenario_host(spec)
+    labels = set(host.obs.profiler.counts)
+    for label in ("YCSB[0].start", "YCSB[0].timeout", "YCSB[0].resume",
+                  "YCSB[1].resume", "ssd.complete", "iopath.read_hit",
+                  "iopath.buffered_done"):
+        assert label in labels
+    assert host.obs.profiler.total_events() == host.sim.dispatched

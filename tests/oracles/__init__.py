@@ -14,7 +14,9 @@ classes for the duration of a ``with`` block, which turns a whole
 scenario run into its brute-force twin (bit-identical ``RunMetrics`` and
 audit stream are the contract); :func:`reservoir_reference` does the
 same for the latency summary.  ``benchmarks/bench_hotpaths.py`` times
-the two sides against each other.
+the two sides against each other.  :func:`reference_kernel` runs every
+simulator on :class:`ReferenceSimulator`, a list-and-``min()`` event
+kernel, so whole runs can check the production event loop's ordering.
 
 Nothing here imports pytest or hypothesis: the benchmark harness runs
 with numpy alone.
@@ -31,11 +33,13 @@ from tests.oracles.hotpaths import (
     sip_filtered_select,
     sip_valid_pages,
 )
+from tests.oracles.kernel import ReferenceSimulator, reference_kernel
 from tests.oracles.latency import LatencyRecorder, reservoir_reference
 from tests.oracles.reference import scan_reference
 
 __all__ = [
     "LatencyRecorder",
+    "ReferenceSimulator",
     "check_addr",
     "dbuf_scan",
     "expired_dirty",
@@ -43,6 +47,7 @@ __all__ = [
     "has_victim",
     "oldest_dirty",
     "page_map_invariant_check",
+    "reference_kernel",
     "reservoir_reference",
     "scan_reference",
     "sip_filtered_select",

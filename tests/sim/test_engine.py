@@ -1,5 +1,7 @@
 """Tests for the simulator event loop: ordering, cancellation, run_until."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -80,7 +82,7 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     event = sim.schedule(5, lambda: fired.append("x"))
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert fired == []
     assert sim.pending() == 0
@@ -139,7 +141,7 @@ def test_peek_time_skips_cancelled():
     sim = Simulator()
     first = sim.schedule(5, lambda: None)
     sim.schedule(9, lambda: None)
-    first.cancel()
+    sim.cancel(first)
     assert sim.peek_time() == 9
 
 
@@ -155,8 +157,8 @@ def test_pending_is_live_count_through_cancel_and_dispatch():
     sim = Simulator()
     events = [sim.schedule(i + 1, lambda: None) for i in range(4)]
     assert sim.pending() == 4
-    events[0].cancel()
-    events[0].cancel()  # idempotent: must not double-decrement
+    sim.cancel(events[0])
+    sim.cancel(events[0])  # idempotent: must not double-decrement
     assert sim.pending() == 3
     sim.run()
     assert sim.pending() == 0
@@ -167,7 +169,7 @@ def test_cancel_after_fire_is_noop():
     event = sim.schedule(1, lambda: None)
     sim.schedule(2, lambda: None)
     sim.run(max_events=1)
-    event.cancel()  # already fired: must not corrupt the live count
+    sim.cancel(event)  # already fired: must not corrupt the live count
     assert sim.pending() == 1
     assert sim.peek_time() == 2
 
@@ -177,18 +179,18 @@ def test_peek_time_pops_cancelled_heads_lazily():
     head = [sim.schedule(i + 1, lambda: None) for i in range(3)]
     survivor = sim.schedule(10, lambda: None)
     for event in head:
-        event.cancel()
+        sim.cancel(event)
     assert sim.peek_time() == 10
     assert sim.pending() == 1
     sim.run()
-    assert sim.now == survivor.time
+    assert sim.now == survivor[0]
 
 
 def test_peek_time_none_when_every_event_cancelled():
     sim = Simulator()
     events = [sim.schedule(i + 1, lambda: None) for i in range(3)]
     for event in events:
-        event.cancel()
+        sim.cancel(event)
     assert sim.peek_time() is None
     assert sim.pending() == 0
     assert sim.run() == 0
@@ -198,26 +200,28 @@ def test_cancel_then_reschedule_fires_only_replacement():
     sim = Simulator()
     fired = []
     stale = sim.schedule(5, lambda: fired.append("stale"))
-    stale.cancel()
+    sim.cancel(stale)
     replacement = sim.schedule(5, lambda: fired.append("fresh"))
     assert sim.pending() == 1
     assert sim.peek_time() == 5
     sim.run()
     assert fired == ["fresh"]
-    assert sim.now == replacement.time
+    assert sim.now == replacement[0]
     assert sim.pending() == 0
 
 
-def test_on_cancel_hook_detached_after_fire_and_after_cancel():
-    # The engine's live-count hook must not stay reachable from events a
-    # component keeps around after they fired or were cancelled.
+def test_fired_or_cancelled_handle_holds_no_simulator_reference():
+    # A component may keep the handle ``schedule`` returned after the
+    # event fired or was cancelled; the handle must not keep the
+    # simulator (and its whole heap) reachable, and late or repeated
+    # cancels must leave the live count exact.
     sim = Simulator()
     fired_event = sim.schedule(1, lambda: None)
     cancelled_event = sim.schedule(2, lambda: None)
-    assert fired_event._on_cancel is not None
     sim.run(max_events=1)
-    assert fired_event._on_cancel is None
-    cancelled_event.cancel()
-    assert cancelled_event._on_cancel is None
-    cancelled_event.cancel()  # idempotent with the hook already gone
+    sim.cancel(cancelled_event)
+    for handle in (fired_event, cancelled_event):
+        assert all(ref is not sim for ref in gc.get_referents(handle))
+    sim.cancel(cancelled_event)  # idempotent once withdrawn
+    sim.cancel(fired_event)  # no-op once fired
     assert sim.pending() == 0

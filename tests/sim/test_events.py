@@ -1,10 +1,12 @@
-"""Tests for Event ordering semantics."""
+"""Tests for event ordering: an event is its ``(time, priority, seq,
+callback, name)`` heap entry, ordered by its first three fields."""
 
-from repro.sim.events import Event, EventPriority
+from repro.sim.engine import Simulator
+from repro.sim.events import EventPriority
 
 
 def make(time, priority=EventPriority.NORMAL, seq=0):
-    return Event(time=time, priority=int(priority), seq=seq, callback=lambda: None)
+    return (time, int(priority), seq, lambda: None, None)
 
 
 def test_time_dominates():
@@ -29,12 +31,17 @@ def test_priority_ordering_constants():
 
 
 def test_cancel_flag():
-    event = make(1)
-    assert not event.cancelled
-    event.cancel()
-    assert event.cancelled
+    sim = Simulator()
+    event = sim.schedule(1, lambda: None)
+    assert sim.pending() == 1
+    sim.cancel(event)
+    assert sim.pending() == 0
 
 
 def test_sort_key_shape():
-    event = make(7, EventPriority.CONTROL, 3)
-    assert event.sort_key() == (7, EventPriority.CONTROL, 3)
+    sim = Simulator()
+    for _ in range(3):
+        sim.schedule(0, lambda: None)
+    event = sim.schedule(7, lambda: None, priority=EventPriority.CONTROL, name="tick")
+    assert event[:3] == (7, EventPriority.CONTROL, 3)
+    assert event[4] == "tick"

@@ -1,7 +1,5 @@
 """Tests for the timed SSD device: queueing, completion, BGC control."""
 
-import pytest
-
 from repro.sim.engine import Simulator
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import ReclaimController, SsdDevice
@@ -16,6 +14,13 @@ def make_device(sim=None, controller=None, **cfg_kwargs):
     config = SsdConfig.small(**cfg_kwargs)
     config.channel_parallelism = parallelism
     return sim, SsdDevice(sim, config, controller=controller)
+
+
+def request(kind, lpn, pages, then):
+    """An IoRequest whose (zero-argument) completion hands it to ``then``."""
+    req = IoRequest(kind, lpn, pages)
+    req.on_complete = lambda: then(req)
+    return req
 
 
 class FixedDemand(ReclaimController):
@@ -35,7 +40,7 @@ class FixedDemand(ReclaimController):
 def test_write_request_completes_with_latency():
     sim, dev = make_device()
     done = []
-    dev.submit(IoRequest(IoKind.DIRECT_WRITE, 0, 1, on_complete=done.append))
+    dev.submit(request(IoKind.DIRECT_WRITE, 0, 1, done.append))
     sim.run()
     assert len(done) == 1
     req = done[0]
@@ -49,7 +54,7 @@ def test_requests_serialize_fifo():
     order = []
     for i in range(3):
         dev.submit(
-            IoRequest(IoKind.DIRECT_WRITE, i, 1, on_complete=lambda r: order.append(r.lpn))
+            request(IoKind.DIRECT_WRITE, i, 1, lambda r: order.append(r.lpn))
         )
     sim.run()
     assert order == [0, 1, 2]
@@ -59,11 +64,11 @@ def test_read_faster_than_write():
     sim, dev = make_device()
     latencies = {}
     dev.submit(
-        IoRequest(IoKind.DIRECT_WRITE, 0, 1, on_complete=lambda r: latencies.__setitem__("w", r.latency()))
+        request(IoKind.DIRECT_WRITE, 0, 1, lambda r: latencies.__setitem__("w", r.latency()))
     )
     sim.run()
     dev.submit(
-        IoRequest(IoKind.READ, 0, 1, on_complete=lambda r: latencies.__setitem__("r", r.latency()))
+        request(IoKind.READ, 0, 1, lambda r: latencies.__setitem__("r", r.latency()))
     )
     sim.run()
     assert latencies["r"] < latencies["w"]
@@ -81,8 +86,8 @@ def test_multi_page_write_parallelism_speedup():
     sim1, serial = make_device(channel_parallelism=1)
     sim2, striped = make_device(channel_parallelism=4)
     lat = {}
-    serial.submit(IoRequest(IoKind.DIRECT_WRITE, 0, 8, on_complete=lambda r: lat.__setitem__("s", r.latency())))
-    striped.submit(IoRequest(IoKind.DIRECT_WRITE, 0, 8, on_complete=lambda r: lat.__setitem__("p", r.latency())))
+    serial.submit(request(IoKind.DIRECT_WRITE, 0, 8, lambda r: lat.__setitem__("s", r.latency())))
+    striped.submit(request(IoKind.DIRECT_WRITE, 0, 8, lambda r: lat.__setitem__("p", r.latency())))
     sim1.run()
     sim2.run()
     assert lat["p"] * 3 < lat["s"]
@@ -136,7 +141,7 @@ def test_host_request_waits_at_most_one_bgc_block():
     done = []
     dev.kick_bgc()
     assert not dev.idle  # BGC block in flight
-    dev.submit(IoRequest(IoKind.READ, 0, 1, on_complete=done.append))
+    dev.submit(request(IoKind.READ, 0, 1, done.append))
     sim.run(max_events=4)
     assert done, "request must complete right after the in-flight BGC block"
 
